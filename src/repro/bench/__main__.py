@@ -12,11 +12,7 @@ way).  ``--trace-perf`` instead times the batched trace engine against
 the per-access reference simulator and writes the result JSON;
 ``--stream-fastpath-perf`` times the steady-state bulk regime paths
 (streaming, write, prefetcher-on) against the scalar-chunk baseline
-and writes ``BENCH_stream_fastpath.json``; ``--oracle-batch-perf``
-times ``predict_batch`` against a scalar ``predict`` loop per zoo
-machine and kind (bit-identity gated), replays a miss-heavy stream
-against a coalescing serve daemon, and writes
-``BENCH_oracle_batch.json``.
+and writes ``BENCH_stream_fastpath.json``.
 
 RAS options: ``--ras-sweep`` prints bandwidth/latency degradation vs
 injected fault rate, ``--ras-selftest`` checks the fault-injection
@@ -115,18 +111,6 @@ def main(argv: list[str] | None = None) -> int:
         help="time the analytic oracle against the trace engine on the "
              "lat_mem/STREAM/prefetch prediction lanes and write "
              "BENCH_analytic.json",
-    )
-    analytic.add_argument(
-        "--oracle-batch-perf", action="store_true",
-        help="time predict_batch against a scalar predict loop per zoo "
-             "machine and request kind (bit-identity gated), replay a "
-             "miss-heavy stream against a coalescing serve daemon, and "
-             "write BENCH_oracle_batch.json",
-    )
-    analytic.add_argument(
-        "--oracle-batch-scale", type=float, metavar="X", default=1.0,
-        help="workload scale factor for --oracle-batch-perf (default: 1.0; "
-             "use ~0.25 with a reduced serve request count for a CI smoke)",
     )
     analytic.add_argument(
         "--analytic-selftest", action="store_true",
@@ -301,50 +285,6 @@ def main(argv: list[str] | None = None) -> int:
               f"max rel err {result['max_rel_err']:.3e}")
         print(f"[wrote {out}]")
         return 0 if result["all_within_tolerance"] else 1
-
-    if args.oracle_batch_perf:
-        from .oracle_batch_perf import SWEEP_KINDS, write_oracle_batch_bench
-
-        out = (
-            args.out if args.out != "BENCH_trace.json"
-            else "BENCH_oracle_batch.json"
-        )
-        if args.oracle_batch_scale <= 0:
-            parser.error("--oracle-batch-scale must be positive")
-        kwargs = {"scale": args.oracle_batch_scale}
-        if args.serve_requests is not None:
-            if args.serve_requests <= 0:
-                parser.error("--serve-requests must be positive")
-            kwargs["serve_requests"] = args.serve_requests
-        result = write_oracle_batch_bench(out, **kwargs)
-        for machine, lanes in result["single_process"].items():
-            for kind, lane in lanes.items():
-                gated = "*" if kind in SWEEP_KINDS else " "
-                print(
-                    f"{machine:>14}/{kind:<14}{gated} "
-                    f"loop {lane['loop_us_per_req']:7.2f} us/req"
-                    f"  batch {lane['batch_us_per_req']:7.2f} us/req"
-                    f"  speedup {lane['speedup']:6.1f}x"
-                    f"  {'ok' if lane['mismatches'] == 0 else 'MISMATCH'}"
-                )
-        serve = result["serve_coalescing"]
-        print(
-            f"serve coalescing: {serve['rps']:.0f} rps, "
-            f"mean batch {serve['mean_batch_size']:.1f} "
-            f"({serve['batches']} batches / {serve['batched_requests']} reqs), "
-            f"payloads {'match' if serve['payloads_match'] else 'MISMATCH'}"
-        )
-        print(
-            f"min sweep speedup {result['min_sweep_speedup']:.1f}x "
-            f"(* gated kinds), bit_identical {result['bit_identical']}"
-        )
-        print(f"[wrote {out}]")
-        ok = (
-            result["bit_identical"]
-            and serve["coalesced"]
-            and serve["payloads_match"]
-        )
-        return 0 if ok else 1
 
     if args.analytic is not None:
         from ..arch import e870

@@ -49,15 +49,14 @@ ERAT_GRANULE = 64 * 1024
 
 
 def knee_pow(ratio, exponent: float):
-    """``ratio ** exponent`` with identical IEEE semantics for scalars and arrays.
+    """``ratio ** exponent`` with the ``np.power`` ufunc's IEEE semantics.
 
-    The scalar model and the batched (structure-of-arrays) model must be
-    bit-identical, so both route their knee exponentiation through this
-    one helper: the common exponents 2.0 and 1.0 reduce to exact
-    multiply/identity, and everything else goes through the ``np.power``
-    ufunc, whose 0-d and n-d evaluations agree to the last bit (unlike
-    Python's ``**``, which differs from the ufunc by 1 ulp on ~0.1% of
-    inputs).  ``ratio`` may be a Python float or a float64 ndarray.
+    The common exponents 2.0 and 1.0 reduce to exact multiply/identity,
+    and everything else goes through ``np.power``.  Python's ``**``
+    differs from the ufunc by 1 ulp on ~0.1% of inputs, and the served
+    oracle payloads (pinned byte for byte by
+    ``tests/perfmodel/golden_payloads.json``) are defined by the ufunc,
+    so keep this helper rather than reverting to ``**``.
     """
     if exponent == 2.0:
         return ratio * ratio
@@ -75,23 +74,6 @@ def resident_fraction(working_set: float, reach: float, exponent: float) -> floa
     if working_set <= reach:
         return 1.0
     return float(knee_pow(reach / working_set, exponent))
-
-
-def _resident_fraction_batch(
-    working_sets: np.ndarray, reach: float, exponent: float
-) -> np.ndarray:
-    """Vectorised :func:`resident_fraction` over a float64 working-set array.
-
-    Bit-identical per element: the knee power runs through
-    :func:`knee_pow` on the full array, then the ``reach <= 0`` /
-    ``working_set <= reach`` branches are applied with ``np.where`` so
-    every selected element carries exactly the value the scalar branch
-    would have produced.
-    """
-    if reach <= 0:
-        return np.zeros_like(working_sets)
-    knee = knee_pow(reach / working_sets, exponent)
-    return np.where(working_sets <= reach, 1.0, knee)
 
 
 @dataclass(frozen=True)
@@ -197,59 +179,3 @@ class AnalyticHierarchy:
     def curve(self, working_sets) -> list[float]:
         """Vectorised convenience: latency at each size in ``working_sets``."""
         return [self.latency_ns(float(w)) for w in working_sets]
-
-    # -- batched (structure-of-arrays) evaluation --------------------------------
-    #
-    # The batch methods below mirror their scalar counterparts op for op
-    # (same arithmetic, same order, same knee helper), so each element of
-    # a batched result is bit-identical to the scalar call on that
-    # element.  ``tests/perfmodel/test_predict_batch.py`` holds the
-    # property suite enforcing this.
-
-    def level_fractions_batch(self, working_sets: np.ndarray) -> Dict[str, np.ndarray]:
-        """Vectorised :meth:`level_fractions` over a float64 array."""
-        fractions: Dict[str, np.ndarray] = {}
-        below = np.zeros_like(working_sets)
-        for level in self.levels:
-            r = _resident_fraction_batch(
-                working_sets, level.cumulative_reach, level.knee_exponent
-            )
-            r = np.maximum(r, below)
-            fractions[level.name] = r - below
-            below = r
-        fractions["DRAM"] = 1.0 - below
-        return fractions
-
-    def translation_penalty_ns_batch(self, working_sets: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`translation_penalty_ns` over a float64 array."""
-        tlb = self.chip.core.tlb
-        knee = self.chip.core_knee_exponent
-        erat_granule = tlb.erat_granule_for(self.page_size)
-        erat_reach = tlb.erat_entries * erat_granule
-        tlb_reach = tlb.tlb_entries * self.page_size
-        miss_erat = 1.0 - _resident_fraction_batch(working_sets, erat_reach, knee)
-        miss_tlb = 1.0 - _resident_fraction_batch(working_sets, tlb_reach, knee)
-        cycles = (
-            miss_erat * tlb.erat_miss_penalty_cycles
-            + miss_tlb * tlb.tlb_miss_penalty_cycles
-        )
-        return cycles / self.chip.frequency_hz * 1e9
-
-    def latency_ns_batch(
-        self,
-        working_sets: np.ndarray,
-        fractions: Optional[Dict[str, np.ndarray]] = None,
-    ) -> np.ndarray:
-        """Vectorised :meth:`latency_ns`; element ``i`` is bit-identical to
-        ``latency_ns(working_sets[i])``.
-
-        Pass ``fractions`` (from :meth:`level_fractions_batch` on the
-        same array) to reuse an existing decomposition — the scalar path
-        recomputes it, but the values are identical either way.
-        """
-        if fractions is None:
-            fractions = self.level_fractions_batch(working_sets)
-        latency = fractions["DRAM"] * self.dram_latency_ns
-        for level in self.levels:
-            latency += fractions[level.name] * level.latency_ns
-        return latency + self.translation_penalty_ns_batch(working_sets)

@@ -1,20 +1,16 @@
-"""Compiled machine models: spec-derived tables, built once per machine.
+"""Compiled machine models: spec-derived state, built once per machine.
 
-Everything the analytic oracle derives from a :class:`SystemSpec` is a
-pure function of the spec — hierarchy level reaches and latencies,
-translation penalties, the prefetch ramp schedule, the cold open-page
-DRAM walk, roofline ceilings, Little's-law saturation curves, energy
-coefficients.  The scalar oracle recomputes slices of that state on
-every ``predict()``; a :class:`CompiledMachineModel` precomputes it
-once so :meth:`AnalyticOracle.predict_batch` can answer thousands of
-requests as structure-of-arrays numpy over the compiled tables.
+A :class:`CompiledMachineModel` holds what the analytic oracle derives
+from a :class:`SystemSpec` and reuses across requests: the per-page-size
+capacity hierarchies, the random-access (Little's-law) model, the
+roofline and the roofline machine model.  Each is a pure function of
+the spec, built on first use and memoized.
 
-Models are immutable once built (their internal caches only memoize
-pure derivations) and live in a bounded process-wide registry keyed by
+Models live in a bounded process-wide registry keyed by
 ``(canonical machine name, spec fingerprint)`` — so a long-running
 serve daemon answering for the whole machine zoo resolves each machine
 to its compiled state exactly once, and aliases (``power8`` vs
-``s824``) share one entry.
+``e870``) share one entry.
 """
 
 from __future__ import annotations
@@ -23,17 +19,12 @@ import hashlib
 import threading
 from collections import OrderedDict
 from functools import cached_property
-from typing import Dict, Optional, Tuple, Union
-
-import numpy as np
+from typing import Optional, Union
 
 from ..arch.registry import canonical_name, get_system
 from ..arch.specs import SystemSpec
 from ..mem.analytic import AnalyticHierarchy
 from ..mem.dram import DRAMModel
-from ..prefetch.dscr import prefetch_distance
-from ..prefetch.engine import ramp_schedule
-from ..roofline.energy import EnergyRoofline
 from ..roofline.model import Roofline
 from .kernel_time import MachineModel
 from .littles_law import RandomAccessModel
@@ -43,9 +34,6 @@ MAX_COMPILED_MODELS = 16
 
 #: Bound on the per-model hierarchy cache (distinct page sizes seen).
 MAX_HIERARCHIES = 8
-
-#: Bound on the per-model memo of reusable result templates.
-MAX_RESULT_MEMO = 128
 
 
 class BoundedCache:
@@ -100,77 +88,12 @@ def spec_fingerprint(system: SystemSpec) -> str:
     return hashlib.sha256(repr(system).encode()).hexdigest()[:16]
 
 
-class CompiledSweepTables:
-    """Closed-form cold-sweep state: everything ``stream_sweep`` rederives.
-
-    The scalar twin walks a tiny Python loop (cold open-page DRAM walk)
-    and rebuilds the ramp schedule per call; both are pure functions of
-    (chip, DRAM geometry), so the compiled form stores the loop's
-    prefix sums and the saturated schedule per prefetch distance.  The
-    tables hold the *exact* floats the scalar loop accumulates — prefix
-    ``k`` of ``cold_dram_cum`` is bit-identical to the scalar walk with
-    ``misses == k``.
-    """
-
-    def __init__(self, chip, dram: DRAMModel) -> None:
-        self.chip = chip
-        self.dram = dram
-        core = chip.core
-        tlb = core.tlb
-        self.line = core.l1d.line_size
-        pf = chip.prefetch
-        self.confirm = pf.confirm_accesses
-        self.ramp_start = pf.ramp_start
-        self.trans_unit_ns = chip.cycles_to_ns(
-            tlb.erat_miss_penalty_cycles + tlb.tlb_miss_penalty_cycles
-        )
-        self.lat_l2_ns = chip.cycles_to_ns(core.l2.latency_cycles)
-        # Prefix sums of the cold open-page walk, replayed with the
-        # scalar loop itself so every partial sum is the scalar value.
-        cum = np.empty(self.confirm + 1, dtype=np.float64)
-        cum[0] = 0.0
-        open_rows: Dict[int, int] = {}
-        dram_ns = 0.0
-        for i in range(self.confirm):
-            row = (i * self.line) // dram.row_size
-            bank = row % dram.num_banks
-            dram_ns += dram.hit_latency_ns
-            if open_rows.get(bank) != row:
-                dram_ns += dram.miss_extra_ns
-                open_rows[bank] = row
-            cum[i + 1] = dram_ns
-        self.cold_dram_cum = cum
-        self._distances: Dict[int, int] = {}
-        self._schedules: Dict[int, np.ndarray] = {}
-
-    def distance_for(self, depth: int) -> int:
-        """Prefetch distance for a DSCR depth (0 = engine off), memoized."""
-        if not depth:
-            return 0
-        if depth not in self._distances:
-            self._distances[depth] = prefetch_distance(depth, self.chip.prefetch)
-        return self._distances[depth]
-
-    def schedule_for(self, distance: int) -> np.ndarray:
-        """Saturated ramp schedule for a distance (len ≈ log2, memoized).
-
-        ``ramp_schedule`` stops once the depth saturates, so a huge ``n``
-        yields the full schedule; any real ``n`` sees the prefix, and
-        index ``min(advances, len) - 1`` picks the same final depth the
-        scalar twin reads.
-        """
-        if distance not in self._schedules:
-            full = ramp_schedule(self.ramp_start, distance, 1 << 62, self.ramp_start)
-            self._schedules[distance] = np.asarray(full, dtype=np.int64)
-        return self._schedules[distance]
-
-
 class CompiledMachineModel:
     """One machine's precomputed analytic state (treat as immutable).
 
-    Construction is cheap; the heavier derivations (roofline rows,
-    Little's-law curves, energy coefficients, per-page hierarchies) are
-    built on first use and memoized.  Internal caches are bounded, so a
+    Construction is cheap; the sub-models (per-page hierarchies, the
+    Little's-law model, the roofline and its machine model) are built
+    on first use and memoized.  Internal caches are bounded, so a
     daemon holding compiled models for the whole zoo has a hard memory
     ceiling regardless of traffic shape.
     """
@@ -179,13 +102,7 @@ class CompiledMachineModel:
         self.system = system
         self.chip = system.chip
         self.dram = dram if dram is not None else DRAMModel()
-        self.fingerprint = spec_fingerprint(system)
-        self.sweep = CompiledSweepTables(self.chip, self.dram)
         self._hierarchies = BoundedCache(MAX_HIERARCHIES)
-        #: Memoized result templates for request kinds whose payload is a
-        #: pure function of a few request fields (see the oracle's
-        #: ``_MEMO_KEY_FIELDS``); shared by every oracle on this spec.
-        self.result_memo = BoundedCache(MAX_RESULT_MEMO)
 
     def hierarchy(self, page_size: int) -> AnalyticHierarchy:
         """The per-page-size capacity model, from a bounded LRU."""
@@ -202,23 +119,8 @@ class CompiledMachineModel:
         return Roofline(self.system)
 
     @cached_property
-    def roofline_rows(self) -> list:
-        from .oracle import roofline_rows
-
-        return roofline_rows(self.roofline)
-
-    @cached_property
     def machine_model(self) -> MachineModel:
         return MachineModel(self.system)
-
-    @cached_property
-    def energy(self) -> EnergyRoofline:
-        return EnergyRoofline(self.system)
-
-    @cached_property
-    def energy_curve(self) -> list:
-        """GFLOP/s-per-watt over the roofline's OI decades (Afzal-style)."""
-        return self.energy.series()
 
 
 _REGISTRY = BoundedCache(MAX_COMPILED_MODELS)
@@ -231,7 +133,7 @@ def compiled_model(
 
     Accepts a spec or any registry name/alias.  A custom ``dram``
     bypasses the registry — those models are private to their oracle,
-    since the sweep tables bake in DRAM geometry.
+    since the model carries the DRAM the oracle's trace twins read.
     """
     if isinstance(system, str):
         system = get_system(canonical_name(system))

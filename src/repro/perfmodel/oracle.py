@@ -32,10 +32,7 @@ in a golden file.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
-from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..arch.specs import ChipSpec, SystemSpec
 from ..mem.analytic import AnalyticHierarchy
@@ -125,8 +122,8 @@ class OracleRequest:
 class OracleResult:
     """Tabular prediction with the request that produced it.
 
-    ``slots=True`` keeps construction cheap — the batch kernels build
-    one of these per distinct request key, so the init path is hot.
+    ``slots=True`` keeps construction cheap: every analytic miss the
+    serve daemon answers builds one of these.
     """
 
     kind: str
@@ -179,75 +176,6 @@ class StreamSweepPrediction:
         return self.prefetch_useful / self.prefetch_issued if self.prefetch_issued else 0.0
 
 
-#: Sizes above this are routed to the scalar path: Python ints stay
-#: exact past 2**53 where int64/float64 conversions round, and the
-#: batch kernels promise bit-identity, not approximation.
-_EXACT_INT_MAX = 1 << 52
-
-
-#: Request kinds whose payload is a pure function of these request
-#: fields (every other field is ignored by the handler), which makes
-#: them memoizable: ``predict_batch`` evaluates one template per
-#: distinct key and clones it for every request carrying that key.
-_MEMO_KEY_FIELDS: Dict[str, Tuple[str, ...]] = {
-    "stream_table3": (),
-    "dscr_model": (),
-    "dcbt": (),
-    "roofline": (),
-    "stride": ("stride_lines",),
-    "stream_scaling": ("thread_counts",),
-    "random_access": ("thread_counts", "stream_counts"),
-    "stream_point": ("cores", "threads_per_core", "read_ratio", "write_ratio"),
-}
-
-
-#: C-level field extractors for the hot dedup paths: ``map(getter,
-#: reqs)`` plus ``dict.fromkeys`` replaces a Python-level loop per
-#: request with two bulk operations.
-_GET_KIND = attrgetter("kind")
-_GET_CHASE_KEY = attrgetter("working_set", "page_size")
-_GET_LAT_MEM_KEY = attrgetter("working_sets", "page_size")
-_GET_SWEEP_KEY = attrgetter("working_set", "depth", "page_size")
-_GET_PREFETCH_KEY = attrgetter("working_set", "depths")
-_MEMO_GETTERS = {
-    kind: attrgetter(*fields) if fields else None
-    for kind, fields in _MEMO_KEY_FIELDS.items()
-}
-
-
-def _clone_result(template: "OracleResult", request: "OracleRequest") -> "OracleResult":
-    """A fresh result carrying ``request``, sharing the template's payload.
-
-    Rows and metrics are shared, not copied: ``OracleResult.to_dict``
-    copies both on the way out, and no consumer mutates a result's
-    payload in place (results are read-only by convention — treat them
-    so).
-    """
-    return OracleResult(
-        template.kind, template.title, template.headers,
-        template.rows, template.metrics, template.notes, request,
-    )
-
-
-def _fan_out(templates, reqs, req_keys) -> List["OracleResult"]:
-    """Map per-key templates back onto the request list, in order.
-
-    The first request carrying a key takes the template itself (just
-    stamping its ``request``); duplicates get clones, so every caller
-    still receives a distinct result object.
-    """
-    out = []
-    append = out.append
-    for req, key in zip(reqs, req_keys):
-        template = templates[key]
-        if template.request is None:
-            template.request = req
-            append(template)
-        else:
-            append(_clone_result(template, req))
-    return out
-
-
 class AnalyticOracle:
     """One machine's O(1) prediction engine for every paper figure."""
 
@@ -256,8 +184,8 @@ class AnalyticOracle:
         self.chip = system.chip
         #: Compiled spec-derived state (bounded registry entry when the
         #: DRAM geometry is the default; private otherwise, since the
-        #: sweep tables bake the geometry in).  Bounding lives there:
-        #: hierarchies per page size, result memos, registry entries.
+        #: model carries the DRAM the trace twins read).  Bounding lives
+        #: there: hierarchies per page size, registry entries.
         self.compiled: CompiledMachineModel = compiled_model(system, dram)
         #: DRAM geometry/timing assumed by the trace twins; mirrors the
         #: :class:`DRAMModel` the hierarchy instantiates by default.
@@ -434,274 +362,6 @@ class AnalyticOracle:
         result = handler(request)
         result.request = request
         return result
-
-    def predict_batch(self, requests: Sequence[OracleRequest]) -> List[OracleResult]:
-        """Answer a heterogeneous request list, vectorized per kind.
-
-        Groups the list by ``kind``, evaluates each group as
-        structure-of-arrays numpy over the compiled tables (or a
-        memoized template for the fixed-shape kinds), and returns
-        results in request order.  Bit-identical to ``[predict(r) for r
-        in requests]`` — same canonical payloads element for element —
-        which is what lets the serve daemon coalesce concurrent misses
-        without perturbing cache keys or golden conformance.
-        """
-        requests = list(requests)
-        if not requests:
-            return []
-        if len(set(map(_GET_KIND, requests))) == 1:
-            return self._batch_kind(requests[0].kind, requests)
-        results: List[Optional[OracleResult]] = [None] * len(requests)
-        by_kind: Dict[str, List[int]] = {}
-        for i, req in enumerate(requests):
-            by_kind.setdefault(req.kind, []).append(i)
-        for kind, idxs in by_kind.items():
-            outs = self._batch_kind(kind, [requests[i] for i in idxs])
-            for i, out in zip(idxs, outs):
-                results[i] = out
-        return results  # type: ignore[return-value]
-
-    def _batch_kind(self, kind: str, reqs: List[OracleRequest]) -> List[OracleResult]:
-        """One kind's whole group: memoized, vectorized, or scalar loop."""
-        if kind in _MEMO_KEY_FIELDS:
-            return self._batch_memoized(kind, reqs)
-        batcher = getattr(self, f"_batch_{kind}", None)
-        return batcher(reqs) if batcher else [self.predict(r) for r in reqs]
-
-    # -- batched per-kind kernels ----------------------------------------------
-    def _batch_memoized(self, kind: str, reqs: List[OracleRequest]) -> List[OracleResult]:
-        """Kinds whose payload is a pure function of a few request fields.
-
-        One scalar evaluation per distinct key, cloned (template rows
-        shared, fresh result object) for every request carrying it.
-        """
-        fields = _MEMO_KEY_FIELDS[kind]
-        getter = _MEMO_GETTERS[kind]
-        if getter is None:
-            req_keys = [(kind,)] * len(reqs)
-        elif len(fields) == 1:
-            req_keys = [(kind, v) for v in map(getter, reqs)]
-        else:
-            req_keys = [(kind,) + v for v in map(getter, reqs)]
-        memo = self.compiled.result_memo
-        handler = None
-        out = []
-        append = out.append
-        for req, key in zip(reqs, req_keys):
-            template = memo.get(key)
-            if template is None:
-                if handler is None:
-                    handler = getattr(self, f"_predict_{kind}")
-                template = handler(req)
-                template.request = None
-                memo.put(key, template)
-            append(_clone_result(template, req))
-        return out
-
-    def _batch_chase(self, reqs: List[OracleRequest]) -> List[OracleResult]:
-        req_keys = list(map(_GET_CHASE_KEY, reqs))
-        templates = dict.fromkeys(req_keys)  # first-occurrence order
-        by_page: Dict[int, List[int]] = {}
-        for ws, page in templates:
-            by_page.setdefault(page, []).append(ws)
-        for page, sizes in by_page.items():
-            try:
-                degenerate = page <= 0 or any(
-                    w <= 0 or w > _EXACT_INT_MAX for w in sizes
-                )
-            except TypeError:
-                degenerate = True  # None fields: scalar raise semantics
-            if degenerate:
-                return [self.predict(r) for r in reqs]
-            model = self.hierarchy(page)
-            arr = np.asarray(sizes, dtype=np.float64)
-            fractions = model.level_fractions_batch(arr)
-            latency = model.latency_ns_batch(arr, fractions).tolist()
-            columns = [
-                (f"fraction_{name}", column.tolist())
-                for name, column in fractions.items()
-            ]
-            for j, ws in enumerate(sizes):
-                templates[(ws, page)] = OracleResult(
-                    "chase", "random pointer-chase latency (trace twin)",
-                    ("working_set_bytes", "latency_ns"),
-                    [(ws, latency[j])],
-                    metrics={name: column[j] for name, column in columns},
-                )
-        return _fan_out(templates, reqs, req_keys)
-
-    def _batch_lat_mem(self, reqs: List[OracleRequest]) -> List[OracleResult]:
-        req_keys = list(map(_GET_LAT_MEM_KEY, reqs))
-        templates = dict.fromkeys(req_keys)  # first-occurrence order
-        by_page: Dict[int, List[Tuple[Tuple[int, ...], int, List[int]]]] = {}
-        for key in templates:
-            try:
-                sizes = [int(w) for w in (key[0] or default_working_sets())]
-                degenerate = key[1] <= 0 or any(
-                    w <= 0 or w > _EXACT_INT_MAX for w in sizes
-                )
-            except TypeError:
-                degenerate = True  # None fields: scalar raise semantics
-            if degenerate:
-                return [self.predict(r) for r in reqs]
-            by_page.setdefault(key[1], []).append((key[0], key[1], sizes))
-        for page, entries in by_page.items():
-            model = self.hierarchy(page)
-            flat = [w for (_, _, sizes) in entries for w in sizes]
-            latency = model.latency_ns_batch(
-                np.asarray(flat, dtype=np.float64)
-            ).tolist()
-            offset = 0
-            for sizes_key, _, sizes in entries:
-                rows = list(zip(sizes, latency[offset:offset + len(sizes)]))
-                offset += len(sizes)
-                templates[(sizes_key, page)] = OracleResult(
-                    "lat_mem", "memory read latency vs working set",
-                    ("working_set_bytes", "latency_ns"), rows,
-                    metrics={"points": float(len(rows))},
-                )
-        return _fan_out(templates, reqs, req_keys)
-
-    def _sweep_core(
-        self, n_arr: np.ndarray, dist_arr: np.ndarray, page_arr: np.ndarray
-    ) -> Tuple[np.ndarray, ...]:
-        """Vectorised :meth:`stream_sweep` over compiled tables.
-
-        Mirrors the scalar twin op for op (same order, same int/float
-        promotions), so every element is bit-identical to a scalar call.
-        Returns (mean_ns, bandwidth, misses, issued, useful) arrays.
-        """
-        tables = self.compiled.sweep
-        line = tables.line
-        confirm = tables.confirm
-        last_addr = (n_arr - 1) * line
-        trans = (last_addr // page_arr + 1) * tables.trans_unit_ns
-        mean = np.empty(n_arr.shape, dtype=np.float64)
-        misses = np.empty(n_arr.shape, dtype=np.int64)
-        issued = np.zeros(n_arr.shape, dtype=np.int64)
-        useful = np.zeros(n_arr.shape, dtype=np.int64)
-        off = np.nonzero(dist_arr == 0)[0]
-        if off.size:
-            n = n_arr[off]
-            n_rows = last_addr[off] // self.dram.row_size + 1
-            dram_ns = n * self.dram.hit_latency_ns + n_rows * self.dram.miss_extra_ns
-            mean[off] = (dram_ns + trans[off]) / n
-            misses[off] = n
-        for dist in np.unique(dist_arr[dist_arr > 0]):
-            idx = np.nonzero(dist_arr == dist)[0]
-            n = n_arr[idx]
-            m = np.minimum(n, confirm)
-            dram_ns = tables.cold_dram_cum[m]
-            sched = tables.schedule_for(int(dist))
-            confirmed = n >= confirm
-            advances = n - (confirm - 1)
-            final_depth = sched[
-                np.minimum(np.maximum(advances, 1), len(sched)) - 1
-            ]
-            issued[idx] = np.where(
-                confirmed, (n - 1) + final_depth - (confirm - 1), 0
-            )
-            useful[idx] = np.where(confirmed, np.maximum(0, n - confirm), 0)
-            mean[idx] = (dram_ns + (n - m) * tables.lat_l2_ns + trans[idx]) / n
-            misses[idx] = m
-        return mean, line / (mean * 1e-9), misses, issued, useful
-
-    def _batch_stream_sweep(self, reqs: List[OracleRequest]) -> List[OracleResult]:
-        tables = self.compiled.sweep
-        req_keys = list(map(_GET_SWEEP_KEY, reqs))
-        templates = dict.fromkeys(req_keys)  # first-occurrence order
-        keys = list(templates)
-        try:
-            ws_col, depth_col, page_col = zip(*keys)
-            ws_arr = np.asarray(ws_col, dtype=np.int64)
-            page_arr = np.asarray(page_col, dtype=np.int64)
-            n_arr = ws_arr // tables.line
-            distance_of = {d: tables.distance_for(d) for d in set(depth_col)}
-            dist_arr = np.asarray(
-                list(map(distance_of.__getitem__, depth_col)), dtype=np.int64
-            )
-            if (
-                int(n_arr.min()) <= 0
-                or int(n_arr.max()) > _EXACT_INT_MAX
-                or int(page_arr.min()) <= 0
-            ):
-                raise ValueError("outside the exact-int64 envelope")
-        except (KeyError, ValueError, TypeError, OverflowError):
-            return [self.predict(r) for r in reqs]  # scalar raise semantics
-        mean, bw, misses, issued, useful = self._sweep_core(n_arr, dist_arr, page_arr)
-        lines = n_arr.tolist()
-        # int64/int64 true-divide is exact for these magnitudes (guarded
-        # at _EXACT_INT_MAX), so the vectorized accuracy equals the
-        # scalar ``useful / issued`` bit for bit.
-        acc = np.divide(
-            useful, issued,
-            out=np.zeros(mean.shape, dtype=np.float64), where=issued != 0,
-        ).tolist()
-        bw_gb = (bw / GB).tolist()
-        mean, bw = mean.tolist(), bw.tolist()
-        misses, issued, useful = misses.tolist(), issued.tolist(), useful.tolist()
-        headers = ("depth", "accesses", "mean_latency_ns", "bandwidth_gbs",
-                   "dram_misses", "prefetch_issued", "prefetch_useful")
-        make = OracleResult
-        for key, n, m_ns, b, b_gb, mi, iss, use, a in zip(
-            keys, lines, mean, bw, bw_gb, misses, issued, useful, acc
-        ):
-            templates[key] = make(
-                "stream_sweep", "cold sequential sweep (trace twin)",
-                headers,
-                [(key[1], n, m_ns, b_gb, mi, iss, use)],
-                {"mean_latency_ns": m_ns, "per_stream_bandwidth": b,
-                 "prefetch_accuracy": a},
-            )
-        return _fan_out(templates, reqs, req_keys)
-
-    def _batch_prefetch_sweep(self, reqs: List[OracleRequest]) -> List[OracleResult]:
-        tables = self.compiled.sweep
-        req_keys = list(map(_GET_PREFETCH_KEY, reqs))
-        templates = dict.fromkeys(req_keys)  # first-occurrence order
-        keys = list(templates)
-        flat_n: List[int] = []
-        flat_dist: List[int] = []
-        expanded: List[Tuple[int, ...]] = []
-        try:
-            for ws, depths in keys:
-                if depths is None:
-                    depths = tuple(sorted(self.chip.prefetch.depth_map))
-                expanded.append(depths)
-                n_lines = ws // tables.line
-                if n_lines <= 0 or n_lines > _EXACT_INT_MAX:
-                    raise ValueError("outside the exact-int64 envelope")
-                for depth in depths:
-                    flat_n.append(n_lines)
-                    flat_dist.append(tables.distance_for(depth))
-        except (KeyError, ValueError, TypeError):
-            return [self.predict(r) for r in reqs]  # scalar raise semantics
-        page = self.chip.page_size
-        mean, _, misses, issued, useful = self._sweep_core(
-            np.asarray(flat_n, dtype=np.int64),
-            np.asarray(flat_dist, dtype=np.int64),
-            np.full(len(flat_n), page, dtype=np.int64),
-        )
-        mean, misses = mean.tolist(), misses.tolist()
-        issued, useful = issued.tolist(), useful.tolist()
-        headers = ("depth", "accesses", "mean_latency_ns", "dram_misses",
-                   "prefetch_issued", "prefetch_useful", "prefetch_accuracy")
-        offset = 0
-        for (ws, depths_key), depths in zip(keys, expanded):
-            rows = []
-            for j, depth in enumerate(depths, start=offset):
-                iss, use = issued[j], useful[j]
-                rows.append((
-                    depth, flat_n[j], mean[j], misses[j],
-                    iss, use, use / iss if iss else 0.0,
-                ))
-            offset += len(depths)
-            templates[(ws, depths_key)] = OracleResult(
-                "prefetch_sweep", "traced DSCR depth sweep (trace twin)",
-                headers, rows,
-                notes="depth 1 disables the engine: the all-miss streaming regime",
-            )
-        return _fan_out(templates, reqs, req_keys)
 
     # -- per-kind handlers -----------------------------------------------------
     def _predict_lat_mem(self, req: OracleRequest) -> OracleResult:

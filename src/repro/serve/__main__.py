@@ -55,17 +55,6 @@ def main(argv: list[str] | None = None) -> int:
         "--timeout", type=float, metavar="S", default=None,
         help="per-experiment wall-clock budget (default: declared budgets)",
     )
-    batching = parser.add_argument_group("analytic micro-batching")
-    batching.add_argument(
-        "--batch-window-ms", type=float, metavar="MS", default=0.0,
-        help="coalesce concurrent analytic misses for up to MS before one "
-             "predict_batch call (default: 0, batching off)",
-    )
-    batching.add_argument(
-        "--batch-max", type=int, metavar="N", default=64,
-        help="flush a coalesced analytic batch at N waiters even before "
-             "the window closes (default: 64)",
-    )
     parser.add_argument(
         "--retries", type=int, metavar="N", default=1,
         help="extra attempts per failing computation (default: 1)",
@@ -129,10 +118,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--lru-capacity must be positive")
     if args.workers <= 0:
         parser.error("--workers must be positive")
-    if args.batch_window_ms < 0:
-        parser.error("--batch-window-ms must be >= 0")
-    if args.batch_max < 1:
-        parser.error("--batch-max must be >= 1")
     try:
         config = ResilienceConfig(
             max_fast=args.max_fast,
@@ -156,8 +141,6 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         resilience=config,
         chaos=chaos,
-        batch_window_ms=args.batch_window_ms,
-        batch_max=args.batch_max,
     )
 
     async def amain() -> None:

@@ -193,9 +193,7 @@ class ServeStats:
     quota), ``deadline_misses`` are waiters whose own ``deadline_ms``
     expired, ``degraded`` are analytic stand-ins served while a breaker
     was open, and ``disconnects`` are connections that died mid-stream
-    without taking the daemon with them.  ``batches``/``batched_requests``
-    count analytic-lane coalescer flushes and the requests they carried
-    (the batcher's ``stats`` op section has the histogram and waits).
+    without taking the daemon with them.
     """
 
     _FIELDS = (
@@ -214,8 +212,6 @@ class ServeStats:
         "degraded",
         "oversized",
         "disconnects",
-        "batches",
-        "batched_requests",
     )
 
     def __init__(self) -> None:
@@ -256,141 +252,6 @@ def _post_to_loop(
         pass
 
 
-#: Batch-size histogram buckets (powers of two): "1", "2-3", "4-7", ...
-_BATCH_BUCKETS = ("1", "2-3", "4-7", "8-15", "16-31", "32-63", "64+")
-
-
-class AnalyticBatcher:
-    """Micro-batching coalescer for the analytic lane (transport-only).
-
-    Concurrent analytic computations that already passed admission and
-    in-flight dedup park here for up to ``window_ms`` (or until
-    ``max_batch`` waiters queue); a flush drains every waiter into one
-    :meth:`~repro.perfmodel.oracle.AnalyticOracle.predict_batch` call
-    per machine on a daemon lane thread, fanning each payload back to
-    its waiter's own future.  Nothing observable changes besides
-    throughput: cache keys never see the batch, payloads are
-    bit-identical to the unbatched lane (``predict_batch``'s contract),
-    and a request whose scalar twin would raise gets that same
-    exception on its own future — a group failure falls back to
-    per-request ``_compute`` so error routing stays per-request.
-
-    All queue state lives on the event loop (``submit`` and ``_flush``
-    only run there), so it needs no lock; only the telemetry counters
-    are read cross-thread, and those are single-writer monotonic ints.
-    """
-
-    def __init__(self, server: "ReproServer", window_ms: float, max_batch: int) -> None:
-        if window_ms <= 0:
-            raise ValueError(f"window_ms must be positive, got {window_ms}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        self.server = server
-        self.window_ms = float(window_ms)
-        self.max_batch = int(max_batch)
-        self._pending: "list[Tuple[NormalizedRequest, asyncio.Future, float]]" = []
-        self._timer: Optional[asyncio.TimerHandle] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self.batches = 0
-        self.batched_requests = 0
-        self.coalesce_wait_s = 0.0
-        self.size_counts = [0] * len(_BATCH_BUCKETS)
-
-    async def submit(self, normalized: NormalizedRequest) -> Tuple[Dict[str, Any], bool]:
-        """Park one analytic computation; resolves with ``(payload, True)``."""
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        future: "asyncio.Future[Tuple[Dict[str, Any], bool]]" = loop.create_future()
-        self._pending.append((normalized, future, loop.time()))
-        if len(self._pending) >= self.max_batch:
-            self.flush_now()
-        elif self._timer is None:
-            self._timer = loop.call_later(self.window_ms / 1e3, self.flush_now)
-        return await future
-
-    def flush_now(self) -> None:
-        """Drain the queue onto a lane thread (event-loop context only).
-
-        Also called by :meth:`ReproServer.drain`, so a drain never waits
-        out the coalesce window.
-        """
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if not self._pending or self._loop is None:
-            return
-        batch, self._pending = self._pending, []
-        now = self._loop.time()
-        size = len(batch)
-        self.batches += 1
-        self.batched_requests += size
-        self.size_counts[min(len(_BATCH_BUCKETS) - 1, size.bit_length() - 1)] += 1
-        self.coalesce_wait_s += sum(now - t0 for (_, _, t0) in batch)
-        self.server.stats.bump("batches")
-        self.server.stats.bump("batched_requests", size)
-        threading.Thread(
-            target=self._run_batch,
-            args=(self._loop, batch),
-            name="repro-serve-batch",
-            daemon=True,
-        ).start()
-
-    def _run_batch(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        batch: "list[Tuple[NormalizedRequest, asyncio.Future, float]]",
-    ) -> None:
-        """One coalesced ``predict_batch`` per machine, on a lane thread."""
-        from ..perfmodel.oracle import OracleRequest
-
-        by_machine: Dict[str, list] = {}
-        for normalized, future, _ in batch:
-            by_machine.setdefault(normalized.machine, []).append((normalized, future))
-        for machine, entries in by_machine.items():
-            try:
-                oracle = self.server._oracle(machine)
-                reqs = [
-                    OracleRequest.from_dict(n.workload_dict()["request"])
-                    for n, _ in entries
-                ]
-                payloads = [
-                    canonical(result.to_dict())
-                    for result in oracle.predict_batch(reqs)
-                ]
-            except BaseException:  # noqa: BLE001 — re-run per request below
-                # Any group failure (one bad request poisons request
-                # construction, say) re-runs each member through the
-                # unbatched compute, so every waiter sees exactly the
-                # success or exception its scalar twin produces.
-                for normalized, future in entries:
-                    try:
-                        result = self.server._compute(normalized)
-                    except BaseException as exc:  # noqa: BLE001 — posted
-                        _post_to_loop(loop, future, exc, None)
-                    else:
-                        _post_to_loop(loop, future, None, result)
-                continue
-            for (normalized, future), payload in zip(entries, payloads):
-                _post_to_loop(loop, future, None, (payload, True))
-
-    def snapshot(self) -> Dict[str, Any]:
-        """The ``batching`` section of the ``stats`` op."""
-        batches = self.batches
-        batched = self.batched_requests
-        return {
-            "window_ms": self.window_ms,
-            "max_batch": self.max_batch,
-            "batches": batches,
-            "batched_requests": batched,
-            "mean_batch_size": (batched / batches) if batches else 0.0,
-            "size_histogram": dict(zip(_BATCH_BUCKETS, self.size_counts)),
-            "coalesce_wait_ms_total": self.coalesce_wait_s * 1e3,
-            "mean_coalesce_wait_ms": (
-                self.coalesce_wait_s * 1e3 / batched if batched else 0.0
-            ),
-        }
-
-
 class ReproServer:
     """The serve daemon: normalize, admit, dedup, cache, compute, stream back."""
 
@@ -405,8 +266,6 @@ class ReproServer:
         workers: int = 1,
         resilience: Optional[ResilienceConfig] = None,
         chaos: Optional[ChaosInjector] = None,
-        batch_window_ms: float = 0.0,
-        batch_max: int = 64,
     ) -> None:
         disk = ResultCache(cache_dir) if cache_dir is not None else None
         self.tier = TieredResultCache(LRUTier(lru_capacity), disk)
@@ -418,13 +277,6 @@ class ReproServer:
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.chaos = chaos
         self.stats = ServeStats()
-        #: Analytic-lane coalescer; ``--batch-window-ms 0`` (the
-        #: default) disables it and every miss takes the unbatched lane.
-        self.batcher = (
-            AnalyticBatcher(self, batch_window_ms, batch_max)
-            if batch_window_ms > 0
-            else None
-        )
         self._inflight: Dict[str, asyncio.Task] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._active = {"fast": 0, "heavy": 0}
@@ -471,8 +323,6 @@ class ReproServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self.batcher is not None:
-            self.batcher.flush_now()  # don't make the drain wait a window out
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.resilience.drain_timeout_s
         for group in (lambda: list(self._inflight.values()),
@@ -628,9 +478,6 @@ class ReproServer:
                     },
                 },
                 chaos=self.chaos.counts() if self.chaos is not None else None,
-                batching=(
-                    self.batcher.snapshot() if self.batcher is not None else None
-                ),
                 uptime_s=time.monotonic() - self.started_at,
             )
         if op == "shutdown":
@@ -844,14 +691,6 @@ class ReproServer:
         thread completing a loop future via ``call_soon_threadsafe``
         gives the same await semantics without the hostage situation.
         """
-        if (
-            self.batcher is not None
-            and normalized.kind == "analytic"
-            and self.chaos is None
-        ):
-            # Coalesced lane: chaos-armed daemons skip it so per-request
-            # fault injection keeps its unbatched semantics.
-            return await self.batcher.submit(normalized)
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[Tuple[Dict[str, Any], bool]]" = loop.create_future()
 

@@ -482,96 +482,6 @@ def run_serve_bench(
     }
 
 
-# -- analytic coalescing scenario --------------------------------------------
-
-#: Working sets for the batching scenario, disjoint from every other
-#: harness base (HOT/MISS/CHAOS) so cross-phase cache pollution is
-#: impossible.
-BATCH_MISS_BASE = 768 << 20
-
-DEFAULT_BATCH_REQUESTS = 4096
-DEFAULT_BATCH_WINDOW_MS = 2.0
-DEFAULT_BATCH_MAX = 64
-
-
-def run_batch_serve_scenario(
-    requests: Optional[int] = None,
-    connections: int = DEFAULT_CONNECTIONS,
-    window: int = DEFAULT_WINDOW,
-    batch_window_ms: float = DEFAULT_BATCH_WINDOW_MS,
-    batch_max: int = DEFAULT_BATCH_MAX,
-    verify_sample: int = 32,
-) -> Dict[str, Any]:
-    """Miss-heavy replay against a daemon with analytic coalescing armed.
-
-    Every request is a globally unique analytic chase (nothing in LRU,
-    nothing deduplicable), so any batch the daemon reports larger than
-    one request is pure window coalescing.  After the replay, a sample
-    of the served (now-cached) payloads is fetched and compared against
-    direct in-process predictions — coalescing must be transport-only.
-    Returns the ``serve_coalescing`` section of BENCH_oracle_batch.json.
-    """
-    from ..arch import e870
-    from ..perfmodel.oracle import AnalyticOracle, OracleRequest
-    from .protocol import canonical
-
-    if requests is None:
-        requests = DEFAULT_BATCH_REQUESTS
-    per_conn = requests // connections
-    schedules = [
-        [
-            chase_spec(BATCH_MISS_BASE + (conn * per_conn + i) * _STEP)
-            for i in range(per_conn)
-        ]
-        for conn in range(connections)
-    ]
-    with tempfile.TemporaryDirectory(prefix="repro-batch-serve-") as tmp:
-        with DaemonProcess(
-            tmp,
-            lru_capacity=requests + 64,
-            extra_args=[
-                "--batch-window-ms", str(batch_window_ms),
-                "--batch-max", str(batch_max),
-            ],
-        ) as daemon:
-            phase = _run_phase(daemon.host, daemon.port, schedules, window)
-            with ServeClient(daemon.host, daemon.port, timeout=30) as client:
-                stats = client.stats()
-                oracle = AnalyticOracle(e870())
-                payloads_match = True
-                step = max(1, requests // verify_sample)
-                for j in range(0, requests, step):
-                    working_set = BATCH_MISS_BASE + j * _STEP
-                    served = client.run(**chase_spec(working_set))
-                    direct = canonical(
-                        oracle.predict(
-                            OracleRequest(kind="chase", working_set=working_set)
-                        ).to_dict()
-                    )
-                    if served["payload"] != direct or served["source"] != "lru":
-                        payloads_match = False
-    batching = stats.get("batching") or {}
-    server_stats = stats["stats"]
-    return {
-        "requests": int(requests),
-        "connections": int(connections),
-        "window": int(window),
-        "batch_window_ms": float(batch_window_ms),
-        "batch_max": int(batch_max),
-        "rps": phase["rps"],
-        "p50_ms": phase["p50_ms"],
-        "p99_ms": phase["p99_ms"],
-        "failures": phase["failures"],
-        "batches": server_stats["batches"],
-        "batched_requests": server_stats["batched_requests"],
-        "mean_batch_size": batching.get("mean_batch_size", 0.0),
-        "size_histogram": batching.get("size_histogram"),
-        "mean_coalesce_wait_ms": batching.get("mean_coalesce_wait_ms", 0.0),
-        "coalesced": bool(batching.get("mean_batch_size", 0.0) > 1.0),
-        "payloads_match": bool(payloads_match),
-    }
-
-
 # -- chaos harness -----------------------------------------------------------
 
 #: Analytic working sets for the chaos replay, disjoint from the
