@@ -1,6 +1,6 @@
 """In-flight dedup: identical concurrent requests compute exactly once.
 
-These tests drive :meth:`ReproServer.handle_request` directly (no
+Most tests drive :meth:`ReproServer.handle_request` directly (no
 socket) with ``server._compute`` replaced by a spy that counts
 executions and blocks on an event, so the tests control exactly when
 the "simulation" finishes.  The contracts:
@@ -14,6 +14,11 @@ the "simulation" finishes.  The contracts:
 * a computation that raises fails *all* current waiters with an error
   response, then clears the in-flight slot so the next request retries
   fresh.
+
+The last test repeats the first contract end to end: 16 socket clients
+released by a barrier send one identical cold trace request to a live
+:class:`ServerThread`, and the ``stats`` deltas show one computation
+and 15 dedup joins.
 """
 
 import asyncio
@@ -22,7 +27,7 @@ import time
 
 import pytest
 
-from repro.serve import ReproServer
+from repro.serve import ReproServer, ServeClient, ServerThread
 
 
 def spec(seed=0, request_id=None):
@@ -168,3 +173,35 @@ def test_compute_failure_fails_all_waiters_then_clears_the_slot():
         assert len(spy.calls) == 2
 
     asyncio.run(scenario())
+
+
+def test_concurrent_socket_clients_execute_once():
+    """16 clients on real sockets, released together by a barrier, send
+    one identical cold trace request: the daemon computes it once and
+    parks the other 15 on the in-flight task."""
+    # Big enough (~2 s) that every client's frame is on the wire before
+    # the first computation finishes.
+    dedup_spec = {"kind": "trace", "working_set": 8 << 20, "passes": 3, "seed": 12345}
+    clients = 16
+    with ServerThread() as st:
+        with ServeClient(st.host, st.port) as probe:
+            before = probe.stats()["stats"]
+            barrier = threading.Barrier(clients)
+            payloads = []
+
+            def worker():
+                with ServeClient(st.host, st.port) as client:
+                    barrier.wait()
+                    payloads.append(client.run(**dedup_spec)["payload"])
+
+            threads = [threading.Thread(target=worker) for _ in range(clients)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            after = probe.stats()["stats"]
+
+    assert len(payloads) == clients
+    assert all(p == payloads[0] for p in payloads)
+    assert after["computed"] - before["computed"] == 1
+    assert after["deduped"] - before["deduped"] == clients - 1
