@@ -5,13 +5,14 @@ trace-driven batch engine on every prediction lane — lat_mem chase
 points, cold STREAM sweeps, and the full traced DSCR depth sweep —
 with every prediction inside its golden differential tolerance.  The
 measured numbers are written to ``BENCH_analytic.json`` at the repo
-root — the same artifact ``python -m repro.bench --analytic-perf``
+root — the same artifact ``python -m repro.bench perf analytic``
 produces.
 """
 
 from pathlib import Path
 
-from repro.bench.analytic_perf import run_analytic_bench, write_analytic_bench
+from repro.bench.analytic_perf import run_analytic_bench
+from repro.bench.perf import write_bench
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_analytic.json"
 
@@ -29,7 +30,7 @@ def test_analytic_oracle_speedups(benchmark, system):
         rounds=1,
         iterations=1,
     )
-    write_analytic_bench(str(BENCH_JSON), result=result)
+    write_bench(str(BENCH_JSON), result=result)
     lanes = result["lanes"]
     assert set(lanes) == set(LANES)
     for name in LANES:

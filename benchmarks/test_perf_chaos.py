@@ -9,12 +9,12 @@ each demonstrate their mechanism: a corrupt disk entry quarantined and
 healed bit-identically, the overloaded heavy pool shedding with pacing
 hints, and SIGTERM draining to exit code 0.  The measured run is
 written to ``BENCH_chaos.json`` at the repo root — the same artifact
-``python -m repro.bench --chaos-perf`` produces.
+``python -m repro.bench perf chaos`` produces.
 """
 
 from pathlib import Path
 
-from repro.bench.chaos_perf import write_chaos_bench
+from repro.bench.perf import write_bench
 from repro.serve.loadgen import run_chaos_bench
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_chaos.json"
@@ -29,7 +29,7 @@ def test_chaos_availability_and_invariants(benchmark):
         rounds=1,
         iterations=1,
     )
-    write_chaos_bench(str(BENCH_JSON), result=result)
+    write_bench(str(BENCH_JSON), result=result)
     mixed = result["mixed_fault"]
     # The invariant: never a corrupt or misattributed payload — every
     # non-ok response carried a structured error row.

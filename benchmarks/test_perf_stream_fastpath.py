@@ -7,15 +7,13 @@ cross-checks that ``fast_paths=True`` and ``fast_paths=False`` simulate
 the identical mean latency, so the speedups are for bit-identical
 results.  The measured numbers are written to
 ``BENCH_stream_fastpath.json`` at the repo root — the same artifact
-``python -m repro.bench --stream-fastpath-perf`` produces.
+``python -m repro.bench perf stream-fastpath`` produces.
 """
 
 from pathlib import Path
 
-from repro.bench.stream_fastpath_perf import (
-    run_stream_fastpath_bench,
-    write_stream_fastpath_bench,
-)
+from repro.bench.perf import write_bench
+from repro.bench.stream_fastpath_perf import run_stream_fastpath_bench
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_stream_fastpath.json"
 
@@ -37,7 +35,7 @@ def test_stream_fastpath_speedups(benchmark, system):
         rounds=1,
         iterations=1,
     )
-    write_stream_fastpath_bench(str(BENCH_JSON), result=result)
+    write_bench(str(BENCH_JSON), result=result)
     lanes = result["lanes"]
     assert set(lanes) == set(SPEEDUP_FLOORS)
     for name, floor in SPEEDUP_FLOORS.items():

@@ -4,12 +4,13 @@ The acceptance bar for the vectorized engine is a >=10x throughput win
 on a 1M-access pointer chase over a 32 KB working set (the L1-resident
 lmbench plateau).  The measured result is written to
 ``BENCH_trace.json`` at the repo root — the same artifact
-``python -m repro.bench --trace-perf`` produces.
+``python -m repro.bench perf trace`` produces.
 """
 
 from pathlib import Path
 
-from repro.bench.trace_perf import run_trace_bench, write_trace_bench
+from repro.bench.perf import write_bench
+from repro.bench.trace_perf import run_trace_bench
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_trace.json"
 
@@ -21,7 +22,7 @@ def test_trace_engine_speedup(benchmark, system):
         rounds=1,
         iterations=1,
     )
-    write_trace_bench(str(BENCH_JSON), result=result)
+    write_bench(str(BENCH_JSON), result=result)
     # Engines must agree exactly on the simulated latency...
     assert result["simulated_mean_latency_ns"] > 0
     # ...and the batch engine must clear the 10x acceptance bar.

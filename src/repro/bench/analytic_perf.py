@@ -16,14 +16,13 @@ The oracle side is timed over many repetitions (a single prediction is
 microseconds); each lane reports the speedup for equal prediction sets
 and the max relative error against the trace ground truth, checked
 against the golden differential tolerances.  ``python -m repro.bench
---analytic-perf`` runs it and writes ``BENCH_analytic.json``;
+perf analytic`` runs it and writes ``BENCH_analytic.json``;
 ``benchmarks/test_perf_analytic.py`` asserts the >=1000x acceptance bar
 from the same entry point.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Optional
 
@@ -34,25 +33,17 @@ from ..perfmodel.differential import (
     load_golden_tolerances,
 )
 from ..perfmodel.oracle import AnalyticOracle
+from .perf import time_repeats
 
 #: Shapes of the trace workloads each lane replays.
 STREAM_SWEEP_BYTES = 4 << 20
 STREAM_DEPTHS = (0, 7)
 PREFETCH_SWEEP_LINES = 4096
 
-#: Repetitions used to time the microsecond-scale oracle side.
+#: Repetitions used to time the microsecond-scale oracle side: each of
+#: ``ORACLE_ROUNDS`` samples is the mean of ``ORACLE_REPS`` calls.
 ORACLE_REPS = 200
-
-
-def _time_oracle(fn, reps: int = ORACLE_REPS, rounds: int = 3) -> float:
-    """Best-of-``rounds`` mean seconds per call of ``fn``."""
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for _ in range(reps):
-            fn()
-        best = min(best, (time.perf_counter() - start) / reps)
-    return best
+ORACLE_ROUNDS = 3
 
 
 def _rel_err(truth: float, predicted: float) -> float:
@@ -72,7 +63,7 @@ def _lat_mem_lane(system: SystemSpec, oracle: AnalyticOracle) -> dict:
     def predict():
         return [oracle.chase_latency_ns(ws) for ws in sizes]
 
-    oracle_s = _time_oracle(predict)
+    timing = time_repeats(predict, ORACLE_ROUNDS, number=ORACLE_REPS)
     errors = {
         name: _rel_err(traced[name], oracle.chase_latency_ns(ws))
         for name, ws in points.items()
@@ -80,8 +71,8 @@ def _lat_mem_lane(system: SystemSpec, oracle: AnalyticOracle) -> dict:
     return {
         "points": {name: int(ws) for name, ws in points.items()},
         "trace_s": trace_s,
-        "oracle_s": oracle_s,
-        "speedup": trace_s / oracle_s,
+        **timing.record("oracle"),
+        "speedup": trace_s / timing.min_s,
         "rel_errors": errors,
         "max_rel_err": max(errors.values()),
     }
@@ -103,7 +94,7 @@ def _stream_lane(system: SystemSpec, oracle: AnalyticOracle) -> dict:
             for depth in STREAM_DEPTHS
         ]
 
-    oracle_s = _time_oracle(predict)
+    timing = time_repeats(predict, ORACLE_ROUNDS, number=ORACLE_REPS)
     errors = {
         str(depth): _rel_err(
             traced[depth],
@@ -115,8 +106,8 @@ def _stream_lane(system: SystemSpec, oracle: AnalyticOracle) -> dict:
         "sweep_bytes": STREAM_SWEEP_BYTES,
         "depths": list(STREAM_DEPTHS),
         "trace_s": trace_s,
-        "oracle_s": oracle_s,
-        "speedup": trace_s / oracle_s,
+        **timing.record("oracle"),
+        "speedup": trace_s / timing.min_s,
         "rel_errors": errors,
         "max_rel_err": max(errors.values()),
     }
@@ -132,7 +123,7 @@ def _prefetch_lane(system: SystemSpec, oracle: AnalyticOracle) -> dict:
     def predict():
         return oracle.prefetch_depth_sweep(n_lines=PREFETCH_SWEEP_LINES)
 
-    oracle_s = _time_oracle(predict)
+    timing = time_repeats(predict, ORACLE_ROUNDS, number=ORACLE_REPS)
     predicted = predict()
     worst = 0.0
     counters_exact = True
@@ -147,8 +138,8 @@ def _prefetch_lane(system: SystemSpec, oracle: AnalyticOracle) -> dict:
         "n_lines": PREFETCH_SWEEP_LINES,
         "depths": [t["depth"] for t in traced],
         "trace_s": trace_s,
-        "oracle_s": oracle_s,
-        "speedup": trace_s / oracle_s,
+        **timing.record("oracle"),
+        "speedup": trace_s / timing.min_s,
         "max_rel_err": worst,
         "counters_exact": counters_exact,
     }

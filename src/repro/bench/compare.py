@@ -5,8 +5,9 @@ characterizes each named machine through the same analytic models the
 paper experiments use — latency plateaus, STREAM bandwidth, prefetch
 sweep, random-access ceiling, performance and energy rooflines — and
 renders one column per machine so the paper's comparative method reads
-across architectures at a glance.  ``--compare-perf`` additionally
-writes the numbers to ``BENCH_compare.json`` for trajectory gating.
+across architectures at a glance.  ``python -m repro.bench perf
+compare`` writes the numbers to ``BENCH_compare.json`` for trajectory
+gating.
 
 Everything here is closed-form (no trace engines), so comparing the
 whole zoo costs milliseconds; the trace-vs-oracle agreement that makes
@@ -160,19 +161,13 @@ def format_compare(reports: Sequence[Dict[str, object]]) -> str:
     )
 
 
-def write_compare_bench(
-    out: str, names: Optional[Sequence[str]] = None
-) -> Dict[str, object]:
-    """``--compare-perf``: the comparison as a trajectory-gated artifact."""
+def run_compare_bench(names: Optional[Sequence[str]] = None) -> Dict[str, object]:
+    """``perf compare``: the comparison as a trajectory-gated artifact."""
     reports = compare_reports(names or DEFAULT_MACHINES)
-    payload = {
+    return {
         "bench": "compare",
         "machines": {str(r["machine"]): r for r in reports},
     }
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload
 
 
 # -- zoo selftest -------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Sharded-execution micro-benchmark (``--parallel-perf``).
+"""Sharded-execution micro-benchmark (``python -m repro.bench perf parallel``).
 
 Times a long lmbench-style pointer-chase trace three ways:
 
@@ -17,14 +17,13 @@ hashed slice of it is L1-resident (so shard engines commit chunks on
 the vectorized bulk path) — the shard-locality effect the speedup
 figure in ``BENCH_parallel.json`` records.  Runs 2 and 3 must agree
 bit-for-bit (latencies, level codes, merged PMU banks); the benchmark
-reports ``bit_identical`` and :mod:`repro.bench.__main__` exits
-non-zero when it does not hold.
+reports ``bit_identical`` and ``perf parallel`` exits non-zero when it
+does not hold.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import os
 import time
 from typing import Dict
@@ -118,12 +117,3 @@ def run_parallel_bench(
         ),
     }
 
-
-def write_parallel_bench(path: str, result: Dict | None = None, **kwargs) -> Dict:
-    """Run (unless given) and write the benchmark JSON; returns the dict."""
-    if result is None:
-        result = run_parallel_bench(**kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return result

@@ -17,7 +17,7 @@ engine restricted to the original resident-read path + scalar loop
 
 Every lane simulates the identical trace both ways and cross-checks the
 mean simulated latency, so the speedup it reports is for bit-identical
-results.  ``python -m repro.bench --stream-fastpath-perf`` runs it and
+results.  ``python -m repro.bench perf stream-fastpath`` runs it and
 writes ``BENCH_stream_fastpath.json``; the
 ``benchmarks/test_perf_stream_fastpath.py`` harness asserts the >=5x
 acceptance bar on the prefetcher-on lane from the same entry point.
@@ -25,8 +25,6 @@ acceptance bar on the prefetcher-on lane from the same entry point.
 
 from __future__ import annotations
 
-import json
-import time
 from typing import Optional
 
 import numpy as np
@@ -36,6 +34,7 @@ from ..arch.power8 import PAGE_64K
 from ..arch.specs import SystemSpec
 from ..mem.batch import BatchMemoryHierarchy
 from ..prefetch.engine import StreamPrefetcher
+from .perf import time_repeats
 
 #: Headline configuration (the acceptance-criteria point).
 DEFAULT_ACCESSES = 200_000
@@ -62,40 +61,24 @@ def _lane_traces(line: int, n_accesses: int, resident_set: int):
     }
 
 
-def _time_lane(
-    chip,
-    addrs: np.ndarray,
-    is_write,
-    depth: Optional[int],
-    fast_paths: bool,
-    page_size: int,
-    repeats: int,
-    warm: Optional[np.ndarray],
-) -> tuple[float, float]:
-    """Best-of-``repeats`` wall time (s) and the simulated mean latency."""
-    best = float("inf")
-    mean_latency = 0.0
-    for _ in range(repeats):
-        prefetcher = (
-            StreamPrefetcher(chip.core.l1d.line_size, depth=depth)
-            if depth is not None
-            else None
-        )
-        hier = BatchMemoryHierarchy(
-            chip,
-            page_size=page_size,
-            prefetcher=prefetcher,
-            fast_paths=fast_paths,
-        )
-        if warm is not None:
-            hier.warm(warm)
-        start = time.perf_counter()
-        res = hier.access_trace(addrs, is_write)
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-            mean_latency = res.mean_latency_ns
-    return best, mean_latency
+def _fresh_hierarchy(
+    chip, depth: Optional[int], fast_paths: bool, page_size: int, warm
+) -> BatchMemoryHierarchy:
+    """A new engine for one timed run (optionally prefetching, optionally warmed)."""
+    prefetcher = (
+        StreamPrefetcher(chip.core.l1d.line_size, depth=depth)
+        if depth is not None
+        else None
+    )
+    hier = BatchMemoryHierarchy(
+        chip,
+        page_size=page_size,
+        prefetcher=prefetcher,
+        fast_paths=fast_paths,
+    )
+    if warm is not None:
+        hier.warm(warm)
+    return hier
 
 
 def run_stream_fastpath_bench(
@@ -119,23 +102,27 @@ def run_stream_fastpath_bench(
         line, n_accesses, DEFAULT_RESIDENT_SET
     ).items():
         warm = warm_resident if name == "resident_write" else None
-        scalar_s, scalar_latency = _time_lane(
-            chip, addrs, is_write, depth, False, page_size, repeats, warm
+        scalar, fast = (
+            time_repeats(
+                lambda hier: hier.access_trace(addrs, is_write),
+                repeats,
+                setup=lambda: _fresh_hierarchy(chip, depth, fast_paths, page_size, warm),
+            )
+            for fast_paths in (False, True)
         )
-        fast_s, fast_latency = _time_lane(
-            chip, addrs, is_write, depth, True, page_size, repeats, warm
-        )
+        scalar_latency = scalar.value.mean_latency_ns
+        fast_latency = fast.value.mean_latency_ns
         if scalar_latency != fast_latency:
             raise AssertionError(
                 f"{name}: fast paths changed the simulation "
                 f"({scalar_latency} ns vs {fast_latency} ns)"
             )
         lanes[name] = {
-            "scalar_s": scalar_s,
-            "fast_s": fast_s,
-            "scalar_ns_per_access": 1e9 * scalar_s / n_accesses,
-            "fast_ns_per_access": 1e9 * fast_s / n_accesses,
-            "speedup": scalar_s / fast_s,
+            **scalar.record("scalar"),
+            **fast.record("fast"),
+            "scalar_ns_per_access": 1e9 * scalar.min_s / n_accesses,
+            "fast_ns_per_access": 1e9 * fast.min_s / n_accesses,
+            "speedup": scalar.min_s / fast.min_s,
             "simulated_mean_latency_ns": fast_latency,
         }
     return {
@@ -148,14 +135,3 @@ def run_stream_fastpath_bench(
         "lanes": lanes,
     }
 
-
-def write_stream_fastpath_bench(
-    path: str, result: Optional[dict] = None, **kwargs
-) -> dict:
-    """Run the benchmark (unless ``result`` is given) and write it as JSON."""
-    if result is None:
-        result = run_stream_fastpath_bench(**kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
-    return result

@@ -8,7 +8,7 @@ speedup.  The headline configuration is a 1M-access chase over a 32 KB
 working set — the L1-resident steady state of the lmbench plateau,
 where the batch engine's all-hit fast path does the most work.
 
-``python -m repro.bench --trace-perf`` runs it and writes the result
+``python -m repro.bench perf trace`` runs it and writes the result
 JSON (``BENCH_trace.json`` at the repo root by default); the
 ``benchmarks/test_perf_trace_engine.py`` harness asserts the >=10x
 acceptance bar on the same entry point.
@@ -16,8 +16,6 @@ acceptance bar on the same entry point.
 
 from __future__ import annotations
 
-import json
-import time
 from typing import Optional
 
 import numpy as np
@@ -28,6 +26,7 @@ from ..arch.specs import SystemSpec
 from ..mem.batch import BatchMemoryHierarchy
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.trace import random_chase_addresses
+from .perf import time_repeats
 
 #: Headline configuration (the acceptance-criteria point).
 DEFAULT_WORKING_SET = 32 << 10
@@ -39,21 +38,6 @@ def _chase_trace(working_set: int, line: int, n_accesses: int, seed: int) -> np.
     perm = random_chase_addresses(working_set, line, passes=1, seed=seed)
     reps = -(-n_accesses // perm.size)  # ceil
     return np.tile(perm, reps)[:n_accesses]
-
-
-def _time_engine(hier, trace: np.ndarray, warm: np.ndarray, repeats: int) -> tuple[float, float]:
-    """Best-of-``repeats`` wall time (s) and the mean latency it computed."""
-    hier.warm(warm)
-    best = float("inf")
-    mean_latency = 0.0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        res = hier.access_trace(trace)
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-            mean_latency = res.mean_latency_ns
-    return best, mean_latency
 
 
 def run_trace_bench(
@@ -79,12 +63,14 @@ def run_trace_bench(
     warm = random_chase_addresses(working_set, line, passes=1, seed=seed)
     trace = _chase_trace(working_set, line, n_accesses, seed)
 
-    ref = MemoryHierarchy(chip, page_size=page_size, counters=counters)
-    ref_s, ref_latency = _time_engine(ref, trace, warm, repeats)
+    def timed(engine):
+        hier = engine(chip, page_size=page_size, counters=counters)
+        hier.warm(warm)
+        return time_repeats(lambda: hier.access_trace(trace), repeats)
 
-    batch = BatchMemoryHierarchy(chip, page_size=page_size, counters=counters)
-    batch_s, batch_latency = _time_engine(batch, trace, warm, repeats)
-
+    ref, batch = timed(MemoryHierarchy), timed(BatchMemoryHierarchy)
+    ref_latency = ref.value.mean_latency_ns
+    batch_latency = batch.value.mean_latency_ns
     if ref_latency != batch_latency:
         raise AssertionError(
             f"engines disagree: reference {ref_latency} ns vs batch {batch_latency} ns"
@@ -97,11 +83,11 @@ def run_trace_bench(
         "repeats": int(repeats),
         "seed": int(seed),
         "counters": bool(counters),
-        "reference_s": ref_s,
-        "batch_s": batch_s,
-        "reference_ns_per_access": 1e9 * ref_s / n_accesses,
-        "batch_ns_per_access": 1e9 * batch_s / n_accesses,
-        "speedup": ref_s / batch_s,
+        **ref.record("reference"),
+        **batch.record("batch"),
+        "reference_ns_per_access": 1e9 * ref.min_s / n_accesses,
+        "batch_ns_per_access": 1e9 * batch.min_s / n_accesses,
+        "speedup": ref.min_s / batch.min_s,
         "simulated_mean_latency_ns": batch_latency,
     }
 
@@ -124,12 +110,3 @@ def trace_bench_counter_report(
         title=f"PMU counters ({working_set}-byte chase, {n_accesses} accesses)"
     )
 
-
-def write_trace_bench(path: str, result: Optional[dict] = None, **kwargs) -> dict:
-    """Run the benchmark (unless ``result`` is given) and write it as JSON."""
-    if result is None:
-        result = run_trace_bench(**kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
-    return result

@@ -1,16 +1,16 @@
 """Cross-run regression checker over the ``BENCH_*.json`` history.
 
-The perf harnesses commit their measured artifacts (``BENCH_trace.json``,
-``BENCH_stream_fastpath.json``, ``BENCH_parallel.json``,
-``BENCH_analytic.json``) at the repo root, so every commit carries the
-last known-good numbers.  This module compares a freshly produced
+The perf scenarios (``python -m repro.bench perf NAME``) commit their
+measured artifacts (``BENCH_trace.json``, ``BENCH_analytic.json``, ...)
+at the repo root, so every commit carries the last known-good numbers.  This module compares a freshly produced
 artifact against its committed baseline and flags any recorded metric
 drifting beyond a threshold (20% by default) — the trajectory of the
 repo's own performance becomes a gated observable.
 
 Wall-clock timings are machine-dependent, so callers exclude them with
 ignore globs; the derived ratios (speedups, errors, counts) are the
-stable trajectory.  CLI::
+stable trajectory.  A top-level ``host`` record describes where a run
+happened rather than what it measured, so it is never compared.  CLI::
 
     python -m repro.reporting.trajectory BENCH_analytic.json \\
         --baseline baseline_dir --threshold 0.2 \\
@@ -85,6 +85,11 @@ def _selected(metric: str, include: Sequence[str], ignore: Sequence[str]) -> boo
     return not any(fnmatch(metric, pat) for pat in ignore)
 
 
+def _measured(payload: dict) -> dict:
+    """``payload`` without its descriptive top-level ``host`` record."""
+    return {key: value for key, value in payload.items() if key != "host"}
+
+
 def compare_payloads(
     baseline: dict,
     current: dict,
@@ -92,8 +97,8 @@ def compare_payloads(
     ignore: Sequence[str] = (),
 ) -> List[Drift]:
     """Drifts for every metric present in both payloads."""
-    base_flat = flatten_metrics(baseline)
-    cur_flat = flatten_metrics(current)
+    base_flat = flatten_metrics(_measured(baseline))
+    cur_flat = flatten_metrics(_measured(current))
     return [
         Drift(metric, base_flat[metric], cur_flat[metric])
         for metric in sorted(base_flat.keys() & cur_flat.keys())

@@ -16,15 +16,16 @@ Layers (one module each):
 * :mod:`~repro.serve.daemon` — the server: dedup of in-flight
   identical requests, tiered lookup, compute lanes;
 * :mod:`~repro.serve.client` — blocking client library;
-* :mod:`~repro.serve.loadgen` — the ``--serve-perf`` load generator.
+* :mod:`~repro.serve.loadgen` — the chaos load harness
+  (``python -m repro.bench perf chaos``).
 
 Everything is conformance-first: ``tests/serve/`` gates every lane on
 bit-identity with the direct in-process path (cold, LRU-hot and
-disk-hot), and the perf harness refuses to report throughput unless
-that check passes.
+disk-hot), and the repo benchmark (``servebench/``) refuses to report
+throughput unless sampled replies match direct runs byte for byte.
 
 Run a daemon with ``python -m repro.serve``; benchmark one with
-``python -m repro.bench --serve-perf``.
+``python3 servebench/run.py``.
 """
 
 from .chaos import (

@@ -10,7 +10,7 @@ at which point it **drains**: stops accepting, finishes (or, past
 ``--chaos SPEC`` arms the deterministic service fault injector
 (:mod:`repro.serve.chaos`): seeded slow/hung/crashing compute lanes,
 on-disk cache corruption and dropped connections, for the chaos suite
-and the ``--chaos-perf`` benchmark.
+and ``python -m repro.bench perf chaos``.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         asyncio.run(amain())
     except KeyboardInterrupt:
         pass
-    # One flushed line so parents (the drain tests, the loadgen) can
+    # One flushed line so parents (the drain tests, the chaos harness) can
     # assert the exit was a drain, not a crash, and read final counters.
     print(f"drained {json.dumps(server.stats.to_dict(), sort_keys=True)}", flush=True)
     return 0

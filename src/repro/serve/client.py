@@ -22,8 +22,8 @@ transparently reconnects.  Pass ``_busy_retries`` to ``run`` to have
 the client honor the daemon's ``retry_after`` pacing hints on ``busy``/
 ``quota`` sheds instead of surfacing them.
 
-The load generator bypasses this class and pipelines raw frames itself
-— see :mod:`repro.serve.loadgen`.
+The repo benchmark (``servebench/``) bypasses this class and pipelines
+raw frames itself.
 """
 
 from __future__ import annotations

@@ -98,9 +98,9 @@ RETRY_AFTER_S = {"fast": 0.05, "heavy": 0.25}
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Admission, breaker and drain knobs (defaults sized so the
-    ``--serve-perf`` workload — 4 connections, window 64, analytic-hot —
-    never sheds).
+    """Admission, breaker and drain knobs (defaults sized so a few
+    connections pipelining analytic requests — the repo benchmark's
+    16-deep pipeline included — never shed).
 
     ``max_fast``/``max_heavy`` bound concurrent *computations* per lane
     class; cache hits and dedup joins are never counted against them.
@@ -771,9 +771,8 @@ class ReproServer:
 class ServerThread:
     """A running daemon on a background thread (its own event loop).
 
-    The synchronous harnesses — pytest suites, the load generator, the
-    ``--serve-perf`` benchmark — need a live server next to blocking
-    client code.  Use as a context manager::
+    Synchronous code — the pytest suites — needs a live server next to
+    blocking client code.  Use as a context manager::
 
         with ServerThread(cache_dir=str(tmp)) as st:
             client = ServeClient(st.host, st.port)

@@ -1,67 +1,43 @@
-"""Load generator for the serve daemon (``--serve-perf``).
+"""Chaos load harness for the serve daemon (``python -m repro.bench perf chaos``).
 
 Spawns the daemon as a real subprocess (``python -m repro.serve``), so
 the measured service pays its own event loop, sockets and GIL — not
-the generator's — then drives it through five phases:
+the harness's — then runs four phases against chaos-armed daemons:
 
-1. **conformance** — a handful of served payloads (analytic,
-   experiment, trace lanes) are compared bit-for-bit against direct
-   in-process computation; no throughput number counts unless
-   ``bit_identical`` holds.
-2. **dedup** — N clients fire one identical cold trace request
-   concurrently; the daemon must execute it once and park the other
-   N-1 on the in-flight future (``dedup_ratio`` = parked fraction).
-3. **warm** — the hot working set is requested once, serially, so the
-   mixed phase's hit rate is deterministic.
-4. **mixed** — every connection replays a windowed, pipelined stream
-   of mostly-hot/partly-unique analytic requests; per-request
-   latencies (p50/p99) and aggregate RPS are measured client-side,
-   the LRU hit rate from the daemon's own counters.
-5. **hot** — the same machinery at 100% LRU hits: the service's
-   ceiling, gated in ``benchmarks/test_perf_serve.py`` at >= 100x the
-   cold-start single-request rate (one fresh ``python -c`` oracle
-   query — what a CLI user pays per question).
+1. **mixed faults** — every connection replays a deterministic,
+   mostly-analytic stream while the daemon injects slow and crashing
+   lanes, disk corruption and dropped connections, and the harness
+   sends malformed and oversized lines and disconnects abruptly; every
+   ``ok`` payload must be bit-identical to the locally computed one;
+2. **quarantine** — a corrupted disk entry is quarantined and healed
+   bit-identically;
+3. **overload** — a slowed heavy lane with tight admission bounds must
+   shed with ``busy``/``quota`` rows rather than queue without bound;
+4. **drain** — SIGTERM mid-request ends the daemon with exit code 0 and
+   its ``drained`` banner.
 
-Request mix and schedules are deterministic (hot picks cycle, misses
-are unique by construction), so the hit/dedup ratios the trajectory
-gate tracks are reproducible run to run; only wall-clock figures are
-machine-dependent.
+The end-to-end throughput and latency of the daemon are measured by the
+repo benchmark (``servebench/``), not here.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import socket
 import subprocess
 import sys
 import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .chaos import ChaosInjector, ChaosPlan
 from .client import ServeClient, ServeError, ServeTimeout
-from .protocol import MAX_LINE_BYTES, encode_message
+from .protocol import MAX_LINE_BYTES
 
-#: Analytic chase working sets: hot picks draw from HOT_BASE upward,
-#: unique misses from MISS_BASE upward — disjoint by construction.
-HOT_BASE = 2 << 20
-MISS_BASE = 256 << 20
+#: Spacing of the analytic chase working sets the harness requests.
 _STEP = 4096
-
-DEFAULT_MIXED_REQUESTS = 140_000
-DEFAULT_HOT_REQUESTS = 60_000
-DEFAULT_HOT_SET = 256
-DEFAULT_HOT_FRACTION = 0.95
-DEFAULT_CONNECTIONS = 4
-DEFAULT_WINDOW = 64
-DEFAULT_DEDUP_CLIENTS = 16
-
-#: The dedup phase's one expensive request: big enough that every
-#: client's frame is on the wire before the first computation finishes.
-DEDUP_SPEC = {"kind": "trace", "working_set": 8 << 20, "passes": 3, "seed": 12345}
 
 
 def chase_spec(working_set: int) -> Dict[str, Any]:
@@ -159,117 +135,6 @@ class DaemonProcess:
         self.stop()
 
 
-# -- conformance -------------------------------------------------------------
-
-
-def conformance_check(client: ServeClient) -> Tuple[bool, List[str]]:
-    """Served payloads vs direct in-process runs, bit for bit.
-
-    Covers all three lanes plus a repeat fetch (the LRU-hot path must
-    serve the identical payload).  Returns ``(ok, detail lines)``.
-    """
-    from ..arch import e870
-    from ..bench.runner import run_with_policy
-    from ..parallel.runner import sharded_traced_latency
-    from ..perfmodel.oracle import AnalyticOracle, OracleRequest
-    from .protocol import canonical, experiment_payload, trace_payload
-
-    system = e870()
-    oracle = AnalyticOracle(system)
-    cases: List[Tuple[str, Dict[str, Any], Any]] = [
-        (
-            "analytic:chase",
-            chase_spec(4 << 20),
-            canonical(
-                oracle.predict(
-                    OracleRequest(kind="chase", working_set=4 << 20)
-                ).to_dict()
-            ),
-        ),
-        (
-            "analytic:stream_table3",
-            {"kind": "analytic", "request": {"kind": "stream_table3"}},
-            canonical(oracle.predict(OracleRequest(kind="stream_table3")).to_dict()),
-        ),
-        (
-            "experiment:table1",
-            {"kind": "experiment", "experiment": "table1"},
-            experiment_payload(run_with_policy("table1", system)),
-        ),
-        (
-            "trace:sharded",
-            {"kind": "trace", "working_set": 64 * 1024, "shards": 2, "seed": 3},
-            trace_payload(
-                sharded_traced_latency(system, 64 * 1024, shards=2, seed=3)[1]
-            ),
-        ),
-    ]
-    ok = True
-    lines = []
-    for name, spec, direct in cases:
-        served = client.run(**spec)
-        repeat = client.run(**spec)
-        cold_ok = served["payload"] == direct
-        hot_ok = repeat["payload"] == direct and repeat["source"] == "lru"
-        ok = ok and cold_ok and hot_ok
-        lines.append(
-            f"{name}: cold={'ok' if cold_ok else 'MISMATCH'} "
-            f"hot={'ok' if hot_ok else 'MISMATCH'}"
-        )
-    return ok, lines
-
-
-# -- pipelined replay --------------------------------------------------------
-
-
-def _replay(
-    host: str,
-    port: int,
-    frames: Sequence[bytes],
-    window: int,
-    out: Dict[str, Any],
-) -> None:
-    """Replay pre-encoded frames over one connection, window-pipelined.
-
-    Latency for frame ``i`` runs from the ``sendall`` that flushed it to
-    the arrival of its response line (ids index into the frame list).
-    Results land in ``out`` (thread-friendly).
-    """
-    n = len(frames)
-    send_t = [0.0] * n
-    latencies = [0.0] * n
-    failures = 0
-    sock = socket.create_connection((host, port), timeout=120)
-    try:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        reader = sock.makefile("rb")
-        sent = received = 0
-        start = time.perf_counter()
-        while received < n:
-            if sent < n and sent - received < window:
-                batch_end = min(n, received + window)
-                chunk = b"".join(frames[sent:batch_end])
-                now = time.perf_counter()
-                for i in range(sent, batch_end):
-                    send_t[i] = now
-                sock.sendall(chunk)
-                sent = batch_end
-            line = reader.readline()
-            if not line:
-                raise ConnectionError("daemon closed mid-replay")
-            response = json.loads(line)
-            i = response["id"]
-            latencies[i] = time.perf_counter() - send_t[i]
-            if not response.get("ok"):
-                failures += 1
-            received += 1
-        out["wall_s"] = time.perf_counter() - start
-        out["latencies"] = latencies
-        out["failures"] = failures
-    finally:
-        sock.close()
-
-
 def _percentile(sorted_values: List[float], q: float) -> float:
     if not sorted_values:
         return 0.0
@@ -277,215 +142,9 @@ def _percentile(sorted_values: List[float], q: float) -> float:
     return sorted_values[index]
 
 
-def _run_phase(
-    host: str,
-    port: int,
-    schedules: Sequence[Sequence[Dict[str, Any]]],
-    window: int,
-) -> Dict[str, Any]:
-    """Fan per-connection schedules out over threads; aggregate metrics."""
-    frames = [
-        [encode_message({"op": "run", "id": i, **spec}) for i, spec in enumerate(sched)]
-        for sched in schedules
-    ]
-    outs: List[Dict[str, Any]] = [{} for _ in frames]
-    threads = [
-        threading.Thread(target=_replay, args=(host, port, f, window, out))
-        for f, out in zip(frames, outs)
-    ]
-    start = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    wall = time.perf_counter() - start
-    for out in outs:
-        if "latencies" not in out:
-            raise RuntimeError("a replay connection died before finishing")
-    latencies = sorted(lat for out in outs for lat in out["latencies"])
-    total = len(latencies)
-    return {
-        "requests": total,
-        "wall_s": wall,
-        "rps": total / wall if wall else 0.0,
-        "p50_ms": _percentile(latencies, 0.50) * 1e3,
-        "p99_ms": _percentile(latencies, 0.99) * 1e3,
-        "failures": sum(out["failures"] for out in outs),
-    }
-
-
-def _mixed_schedules(
-    total: int,
-    connections: int,
-    hot_set: int,
-    hot_fraction: float,
-) -> List[List[Dict[str, Any]]]:
-    """Deterministic per-connection request schedules for the mixed phase.
-
-    Hot picks cycle over the warm set; every miss is a globally unique
-    working set, so the phase's LRU hit rate is exactly the hot
-    fraction.
-    """
-    if not 0.0 < hot_fraction < 1.0:
-        raise ValueError(f"hot_fraction must be in (0, 1), got {hot_fraction}")
-    miss_every = max(2, round(1.0 / (1.0 - hot_fraction)))
-    per_conn = total // connections
-    schedules: List[List[Dict[str, Any]]] = []
-    next_miss = 0
-    for conn in range(connections):
-        schedule = []
-        for i in range(per_conn):
-            if i % miss_every == miss_every - 1:
-                schedule.append(chase_spec(MISS_BASE + next_miss * _STEP))
-                next_miss += 1
-            else:
-                schedule.append(
-                    chase_spec(HOT_BASE + ((conn * per_conn + i) % hot_set) * _STEP)
-                )
-        schedules.append(schedule)
-    return schedules
-
-
-def _hot_schedules(
-    total: int, connections: int, hot_set: int
-) -> List[List[Dict[str, Any]]]:
-    per_conn = total // connections
-    return [
-        [chase_spec(HOT_BASE + (i % hot_set) * _STEP) for i in range(per_conn)]
-        for _ in range(connections)
-    ]
-
-
-# -- cold-start reference ----------------------------------------------------
-
-_COLD_START_CODE = (
-    "from repro.arch import e870\n"
-    "from repro.perfmodel.oracle import AnalyticOracle, OracleRequest\n"
-    "AnalyticOracle(e870()).predict(OracleRequest(kind='chase'))\n"
-)
-
-
-def measure_cold_start() -> float:
-    """Seconds one fresh CLI-style process needs to answer one request.
-
-    This is the baseline the service exists to beat: interpreter boot,
-    imports, spec construction, one oracle query.
-    """
-    start = time.perf_counter()
-    subprocess.run(
-        [sys.executable, "-c", _COLD_START_CODE],
-        check=True,
-        env=_subprocess_env(),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    return time.perf_counter() - start
-
-
-# -- the harness -------------------------------------------------------------
-
-
-def run_serve_bench(
-    mixed_requests: int = DEFAULT_MIXED_REQUESTS,
-    hot_requests: int = DEFAULT_HOT_REQUESTS,
-    hot_set: int = DEFAULT_HOT_SET,
-    hot_fraction: float = DEFAULT_HOT_FRACTION,
-    connections: int = DEFAULT_CONNECTIONS,
-    window: int = DEFAULT_WINDOW,
-    lru_capacity: int = DEFAULT_HOT_SET * 16,
-    dedup_clients: int = DEFAULT_DEDUP_CLIENTS,
-    cache_dir: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Run every phase against a freshly spawned daemon; returns the
-    ``BENCH_serve.json`` payload."""
-    with tempfile.TemporaryDirectory(prefix="repro-serve-bench-") as tmp:
-        with DaemonProcess(
-            cache_dir if cache_dir is not None else tmp, lru_capacity
-        ) as daemon:
-            host, port = daemon.host, daemon.port
-            with ServeClient(host, port) as client:
-                bit_identical, conformance_lines = conformance_check(client)
-
-                # Dedup: one expensive identical request from N clients at once.
-                before = client.stats()["stats"]
-                barrier = threading.Barrier(dedup_clients)
-
-                def _dedup_worker() -> None:
-                    with ServeClient(host, port) as c:
-                        barrier.wait()
-                        c.run(**DEDUP_SPEC)
-
-                threads = [
-                    threading.Thread(target=_dedup_worker)
-                    for _ in range(dedup_clients)
-                ]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
-                after = client.stats()["stats"]
-                deduped = after["deduped"] - before["deduped"]
-                executed = after["computed"] - before["computed"]
-                dedup_ratio = deduped / dedup_clients
-
-                # Warm the hot set so the mixed phase's hit rate is exact.
-                for j in range(hot_set):
-                    client.run(**chase_spec(HOT_BASE + j * _STEP))
-
-                before = client.stats()["stats"]
-                mixed = _run_phase(
-                    host, port,
-                    _mixed_schedules(mixed_requests, connections, hot_set, hot_fraction),
-                    window,
-                )
-                after = client.stats()["stats"]
-                phase_requests = after["requests"] - before["requests"]
-                lru_hit_rate = (
-                    (after["lru_hits"] - before["lru_hits"]) / phase_requests
-                    if phase_requests
-                    else 0.0
-                )
-
-                hot = _run_phase(
-                    host, port, _hot_schedules(hot_requests, connections, hot_set),
-                    window,
-                )
-                final_stats = client.stats()
-
-    cold_start_s = measure_cold_start()
-    cold_start_rps = 1.0 / cold_start_s if cold_start_s else float("inf")
-    return {
-        "benchmark": "serve-daemon-loadgen",
-        "bit_identical": bool(bit_identical),
-        "conformance": conformance_lines,
-        "dedup_clients": int(dedup_clients),
-        "dedup_ratio": dedup_ratio,
-        "dedup_executions": int(executed),
-        "hot_set": int(hot_set),
-        "hot_fraction": float(hot_fraction),
-        "connections": int(connections),
-        "window": int(window),
-        "lru_capacity": int(lru_capacity),
-        "mixed": mixed,
-        "hot": hot,
-        "lru_hit_rate": lru_hit_rate,
-        "cold_start_s": cold_start_s,
-        "cold_start_rps": cold_start_rps,
-        "hot_rps_over_cold": hot["rps"] * cold_start_s,
-        "server_stats": final_stats["stats"],
-        "server_tiers": final_stats["tiers"],
-        "note": (
-            "hot_rps_over_cold = hot-phase (pure LRU hit) RPS divided by the "
-            "single-request rate of a cold python -c oracle query; the "
-            "benchmark gate requires >= 100 and bit_identical"
-        ),
-    }
-
-
 # -- chaos harness -----------------------------------------------------------
 
-#: Analytic working sets for the chaos replay, disjoint from the
-#: serve-bench bases so cross-phase cache pollution is impossible.
+#: Analytic working sets for the chaos replay.
 CHAOS_HOT_BASE = 512 << 20
 CHAOS_HOT_SET = 64
 
@@ -650,7 +309,7 @@ def run_chaos_bench(
     connections: int = DEFAULT_CHAOS_CONNECTIONS,
     seed: int = DEFAULT_CHAOS_SEED,
 ) -> Dict[str, Any]:
-    """The ``--chaos-perf`` harness: availability and tail latency under
+    """The ``perf chaos`` harness: availability and tail latency under
     a seeded mixed-fault replay, plus deterministic quarantine, overload
     and drain probes.  Returns the ``BENCH_chaos.json`` payload."""
     expected = _chaos_expected()

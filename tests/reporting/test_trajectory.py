@@ -65,6 +65,17 @@ class TestCompare:
         )
         assert [d.metric for d in drifts] == ["a.speedup"]
 
+    def test_top_level_host_record_never_compared(self):
+        drifts = compare_payloads(
+            {"speedup": 10.0, "host": {"nproc": 2, "affinity": [0, 1]}},
+            {"speedup": 10.0, "host": {"nproc": 64, "affinity": [0]}},
+        )
+        assert [d.metric for d in drifts] == ["speedup"]
+        # Only the top-level record is descriptive; a nested "host" key
+        # is an ordinary metric.
+        nested = compare_payloads({"lane": {"host": 1.0}}, {"lane": {"host": 2.0}})
+        assert [d.metric for d in nested] == ["lane.host"]
+
 
 class TestCheckTrajectory:
     def write(self, path, payload):
