@@ -178,13 +178,3 @@ def run_analytic_bench(system: Optional[SystemSpec] = None) -> dict:
         "max_rel_err": max(lane["max_rel_err"] for lane in lanes.values()),
         "all_within_tolerance": all(lane["within_tolerance"] for lane in lanes.values()),
     }
-
-
-def write_analytic_bench(path: str, result: Optional[dict] = None, **kwargs) -> dict:
-    """Run the benchmark (unless ``result`` is given) and write it as JSON."""
-    if result is None:
-        result = run_analytic_bench(**kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
-    return result

@@ -116,4 +116,3 @@ def run_parallel_bench(
             "engine"
         ),
     }
-

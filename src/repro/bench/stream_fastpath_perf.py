@@ -134,4 +134,3 @@ def run_stream_fastpath_bench(
         "resident_set_bytes": DEFAULT_RESIDENT_SET,
         "lanes": lanes,
     }
-

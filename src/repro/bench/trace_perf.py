@@ -109,4 +109,3 @@ def trace_bench_counter_report(
     return PMU(hier).report(
         title=f"PMU counters ({working_set}-byte chase, {n_accesses} accesses)"
     )
-

@@ -191,14 +191,15 @@ def test_concurrent_socket_clients_execute_once():
 
             def worker():
                 with ServeClient(st.host, st.port) as client:
-                    barrier.wait()
+                    barrier.wait(timeout=30)
                     payloads.append(client.run(**dedup_spec)["payload"])
 
             threads = [threading.Thread(target=worker) for _ in range(clients)]
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
             after = probe.stats()["stats"]
 
     assert len(payloads) == clients
