@@ -30,6 +30,7 @@ __all__ = [
     "get_system",
     "power7_4s",
     "register_machine",
+    "spec_fingerprint",
 ]
 
 
@@ -78,6 +79,9 @@ ALIASES: Dict[str, str] = {
 
 _CACHE: Dict[str, SystemSpec] = {}
 
+#: Canonical name -> fingerprint of the spec memoized in ``_CACHE``.
+_FINGERPRINTS: Dict[str, str] = {}
+
 
 def _normalize(name: str) -> str:
     return name.strip().lower().replace("_", "-")
@@ -106,6 +110,26 @@ def get_system(name: str) -> SystemSpec:
     return _CACHE[key]
 
 
+def spec_fingerprint(system: object) -> str:
+    """A spec's identity in every content-addressed key: its ``repr``.
+
+    Specs are frozen dataclasses whose repr enumerates every field, so
+    the text changes iff a model parameter does.  The result-cache key
+    (:func:`repro.parallel.cache.cache_key`) and the compiled-model
+    registry (:func:`repro.perfmodel.compiled.compiled_model`) both key
+    on it.  The shared spec :func:`get_system` hands out for a name is
+    rendered once per canonical name; any other spec (a custom one, or
+    a fresh factory call) is rendered on every call.
+    """
+    for name, spec in tuple(_CACHE.items()):
+        if spec is system:
+            text = _FINGERPRINTS.get(name)
+            if text is None:
+                text = _FINGERPRINTS[name] = repr(system)
+            return text
+    return repr(system)
+
+
 def available_machines() -> List[str]:
     """Sorted canonical names of every registered machine."""
     return sorted(MACHINES)
@@ -122,5 +146,6 @@ def register_machine(
     key = _normalize(name)
     MACHINES[key] = factory
     _CACHE.pop(key, None)
+    _FINGERPRINTS.pop(key, None)
     for alias in aliases:
         ALIASES[_normalize(alias)] = key

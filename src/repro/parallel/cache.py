@@ -25,15 +25,17 @@ drives exactly these paths with deliberately corrupted payload files.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import os
 import threading
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Union
 
 from .. import __version__
+from ..arch.registry import spec_fingerprint
 
 #: Bump when the stored payload format changes incompatibly.
 #: 2: entries carry a payload SHA-256, verified on every read.
@@ -55,25 +57,43 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
-def cache_key(*, machine: object, workload: Mapping[str, Any], seed: int = 0) -> str:
+def cache_key(*, machine: object, workload: Union[Mapping[str, Any], str], seed: int = 0) -> str:
     """SHA-256 digest of the canonical key material.
 
-    ``machine`` is any spec object with a stable ``repr`` (the arch
-    specs are frozen dataclasses, so their repr pins every parameter);
+    The material is ``{"cache_version", "code_version", "machine",
+    "seed", "workload"}`` as sorted compact JSON, with the machine spec
+    given by its fingerprint
+    (:func:`repro.arch.registry.spec_fingerprint`, the spec's repr).
     ``workload`` is a JSON-able description of the run (experiment id,
-    shard count, flags, ...).  Module-level so callers that only need
-    the key — the serve daemon normalizing request specs — don't have
-    to build a cache around a directory.
+    shard count, flags, ...), or that description already frozen as
+    sorted compact JSON text, as the serve protocol holds it.
+    Module-level so callers that only need the key — the serve daemon
+    normalizing request specs — don't have to build a cache around a
+    directory.
     """
-    material = {
-        "cache_version": CACHE_VERSION,
-        "code_version": __version__,
-        "machine": repr(machine),
-        "workload": dict(workload),
-        "seed": int(seed),
-    }
-    blob = json.dumps(material, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    if not isinstance(workload, str):
+        workload = json.dumps(dict(workload), sort_keys=True, separators=(",", ":"))
+    digest = _key_head(spec_fingerprint(machine)).copy()
+    digest.update(b',"seed":%d,"workload":%s}' % (int(seed), workload.encode("utf-8")))
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=64)
+def _key_head(fingerprint: str) -> "hashlib._Hash":
+    """SHA-256 state over the part of the key material fixed per machine.
+
+    Sorted keys put ``cache_version``, ``code_version`` and ``machine``
+    before ``seed`` and ``workload``, so every key's JSON opens with the
+    same head for one machine.  Hashing that head once leaves a key one
+    ``copy`` and one ``update``; the cached state is shared, so callers
+    update only their copy.
+    """
+    head = json.dumps(
+        {"cache_version": CACHE_VERSION, "code_version": __version__, "machine": fingerprint},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(head[:-1].encode("utf-8"))
 
 
 def payload_digest(payload: Any) -> str:

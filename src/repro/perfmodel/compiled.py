@@ -6,22 +6,21 @@ capacity hierarchies, the random-access (Little's-law) model, the
 roofline and the roofline machine model.  Each is a pure function of
 the spec, built on first use and memoized.
 
-Models live in a bounded process-wide registry keyed by
-``(canonical machine name, spec fingerprint)`` — so a long-running
-serve daemon answering for the whole machine zoo resolves each machine
-to its compiled state exactly once, and aliases (``power8`` vs
-``e870``) share one entry.
+Models live in a bounded process-wide registry keyed by the spec
+fingerprint (:func:`repro.arch.registry.spec_fingerprint`) — so a
+long-running serve daemon answering for the whole machine zoo resolves
+each machine to its compiled state exactly once, and aliases
+(``power8`` vs ``e870``) share one entry.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from functools import cached_property
 from typing import Optional, Union
 
-from ..arch.registry import canonical_name, get_system
+from ..arch.registry import canonical_name, get_system, spec_fingerprint
 from ..arch.specs import SystemSpec
 from ..mem.analytic import AnalyticHierarchy
 from ..mem.dram import DRAMModel
@@ -77,17 +76,6 @@ class BoundedCache:
         return value
 
 
-def spec_fingerprint(system: SystemSpec) -> str:
-    """Stable digest of a spec's full parameterisation.
-
-    Specs are frozen dataclasses whose ``repr`` enumerates every field,
-    so the digest changes iff any model-relevant parameter does — the
-    registry key that keeps a mutated/re-registered machine name from
-    aliasing stale compiled state.
-    """
-    return hashlib.sha256(repr(system).encode()).hexdigest()[:16]
-
-
 class CompiledMachineModel:
     """One machine's precomputed analytic state (treat as immutable).
 
@@ -139,10 +127,12 @@ def compiled_model(
         system = get_system(canonical_name(system))
     if dram is not None:
         return CompiledMachineModel(system, dram)
-    # Aliases resolve to the same spec object, so (display name,
-    # fingerprint) collapses every alias onto one compiled entry.
-    key = (system.name, spec_fingerprint(system))
-    return _REGISTRY.get_or_build(key, lambda: CompiledMachineModel(system))
+    # Aliases resolve to the same spec object, so the fingerprint
+    # collapses every alias onto one compiled entry, while a mutated or
+    # re-registered spec under an old name never aliases stale state.
+    return _REGISTRY.get_or_build(
+        spec_fingerprint(system), lambda: CompiledMachineModel(system)
+    )
 
 
 def compiled_registry_len() -> int:

@@ -1,4 +1,10 @@
-"""Paper-value registry, table rendering and shape-check comparators."""
+"""Paper-value registry, table rendering and shape-check comparators.
+
+The BENCH trajectory checker lives in :mod:`repro.reporting.trajectory`
+and is imported from there: re-exporting it here would load it with the
+package, and ``python -m repro.reporting.trajectory`` would then warn
+that the module was already imported before running it as ``__main__``.
+"""
 
 from . import paper_values
 from .compare import (
@@ -10,15 +16,10 @@ from .compare import (
     within_factor,
 )
 from .tables import format_comparison, format_counter_table, format_table
-from .trajectory import Drift, check_trajectory, compare_payloads, flatten_metrics
 
 __all__ = [
-    "Drift",
     "argmax_index",
-    "check_trajectory",
-    "compare_payloads",
     "crossover_index",
-    "flatten_metrics",
     "format_comparison",
     "format_counter_table",
     "format_table",

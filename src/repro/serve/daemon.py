@@ -8,8 +8,10 @@ itself.  A request travels::
     spec --normalize--> key --LRU?--> disk?--> in-flight?--> admit?--> compute
 
 * **LRU tier** (:class:`~repro.serve.lru.LRUTier`): bounded in-memory
-  payload store; a hot repeat costs one dict lookup plus JSON framing.
-  Payloads are digest-verified on every hit (see :mod:`.lru`).
+  store of each payload's encoded bytes, encoded once when the result
+  is computed; a hot repeat costs one dict lookup plus splicing those
+  bytes into the reply.  Bytes are immutable, so a hit needs no
+  re-verify (see :mod:`.lru`).
 * **Disk tier** (:class:`~repro.parallel.cache.ResultCache`): the
   existing content-addressed cache; survives restarts, verifies a
   SHA-256 per entry and quarantines anything corrupt as a miss.
@@ -78,9 +80,10 @@ from .protocol import (
     NormalizedRequest,
     OversizedLineError,
     ProtocolError,
-    canonical,
+    canonical,  # noqa: F401 - servebench/launcher.py wraps this name
     decode_message,
     encode_message,
+    encode_payload,
     error_response,
     experiment_payload,
     normalize_request,
@@ -503,14 +506,10 @@ class ReproServer:
         started = time.monotonic()
 
         payload, tier = self.tier.get(key)
-        if tier == "lru":
-            self.stats.bump("lru_hits")
+        if tier is not None:
+            self.stats.bump(f"{tier}_hits")
             self.stats.bump("ok")
-            return ok_response(request_id, key=key, source="lru", payload=payload)
-        if tier == "disk":
-            self.stats.bump("disk_hits")
-            self.stats.bump("ok")
-            return ok_response(request_id, key=key, source="disk", payload=payload)
+            return ok_response(request_id, key=key, source=tier, payload=payload)
 
         lane_class = "fast" if normalized.kind == "analytic" else "heavy"
         counted_heavy = False
@@ -642,7 +641,7 @@ class ReproServer:
             retry_after=self.resilience.breaker_cooldown_s,
         )
 
-    def _degraded_payload(self, normalized: NormalizedRequest) -> Dict[str, Any]:
+    def _degraded_payload(self, normalized: NormalizedRequest) -> bytes:
         """The analytic stand-in for a trace request while its lane's
         breaker is open: the oracle's O(1) chase prediction for the same
         working set — availability-preserving, explicitly not the
@@ -657,7 +656,7 @@ class ReproServer:
                 page_size=workload["page_size"],
             )
         )
-        return canonical(result.to_dict())
+        return encode_payload(result.to_dict())
 
     # -- compute lanes -------------------------------------------------------
     async def _compute_and_store(
@@ -665,7 +664,7 @@ class ReproServer:
         normalized: NormalizedRequest,
         key: str,
         deadline_s: Optional[float] = None,
-    ) -> Dict[str, Any]:
+    ) -> bytes:
         breaker = self._breaker(normalized.kind)
         try:
             payload, cacheable = await self._in_lane(normalized, deadline_s)
@@ -682,7 +681,7 @@ class ReproServer:
 
     async def _in_lane(
         self, normalized: NormalizedRequest, deadline_s: Optional[float]
-    ) -> Tuple[Dict[str, Any], bool]:
+    ) -> Tuple[bytes, bool]:
         """Run :meth:`_compute` on a fresh *daemon* thread.
 
         ``asyncio.to_thread`` would borrow a non-daemon executor thread,
@@ -692,7 +691,7 @@ class ReproServer:
         gives the same await semantics without the hostage situation.
         """
         loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Tuple[Dict[str, Any], bool]]" = loop.create_future()
+        future: "asyncio.Future[Tuple[bytes, bool]]" = loop.create_future()
 
         def _work() -> None:
             try:
@@ -707,27 +706,27 @@ class ReproServer:
         threading.Thread(target=_work, name="repro-serve-lane", daemon=True).start()
         return await future
 
-    def _compute(self, normalized: NormalizedRequest) -> Tuple[Dict[str, Any], bool]:
-        """Run one lane synchronously; returns ``(payload, cacheable)``.
+    def _compute(self, normalized: NormalizedRequest) -> Tuple[bytes, bool]:
+        """Run one lane synchronously; returns ``(payload bytes, cacheable)``.
 
-        Tests monkeypatch this with a spy to count executions — the
-        dedup contract is "``_compute`` runs once per distinct key".
+        The payload is encoded here, once (:func:`encode_payload`): the
+        LRU tier, every dedup waiter and every later hit send these
+        bytes.  Tests monkeypatch this with a spy to count executions —
+        the dedup contract is "``_compute`` runs once per distinct key".
         """
-        workload = normalized.workload_dict()
         if normalized.kind == "analytic":
-            from ..perfmodel.oracle import OracleRequest
-
             oracle = self._oracle(normalized.machine)
-            result = oracle.predict(OracleRequest.from_dict(workload["request"]))
-            return canonical(result.to_dict()), True
+            result = oracle.predict(normalized.oracle_request)
+            return encode_payload(result.to_dict()), True
+        workload = normalized.workload_dict()
         if normalized.kind == "experiment":
             result = run_with_policy(
                 workload["experiment"], self._system(normalized.machine), self.policy
             )
             # Error rows are served (fail-soft) but never cached: the
             # next request retries instead of replaying the failure.
-            return experiment_payload(result), result.ok
-        return self._compute_trace(normalized, workload), True
+            return encode_payload(experiment_payload(result)), result.ok
+        return encode_payload(self._compute_trace(normalized, workload)), True
 
     def _compute_trace(
         self, normalized: NormalizedRequest, workload: Dict[str, Any]

@@ -29,6 +29,7 @@ import sys
 import tempfile
 import threading
 import time
+import traceback
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Tuple
 
@@ -226,11 +227,28 @@ def _chaos_worker(
     injector: ChaosInjector,
     out: Dict[str, Any],
 ) -> None:
+    """Thread body: :func:`_chaos_replay` into ``out``.  An exception it
+    does not handle is recorded as ``out["error"]`` (type, message and
+    traceback) for :func:`run_chaos_bench` to raise with, instead of
+    dying with the thread."""
+    try:
+        out.update(_chaos_replay(host, port, schedule, expected, injector))
+    except Exception:  # noqa: BLE001 - reported through out["error"]
+        out["error"] = traceback.format_exc()
+
+
+def _chaos_replay(
+    host: str,
+    port: int,
+    schedule: Sequence[Dict[str, Any]],
+    expected: Dict[str, Any],
+    injector: ChaosInjector,
+) -> Dict[str, Any]:
     """Replay one schedule through every fault class, scoring the
     invariant: an ``ok`` non-degraded response must be bit-identical to
     the locally computed payload; anything else must be a structured
     error row (or a clean reconnect), never corrupt bytes."""
-    counters = {
+    counters: Dict[str, Any] = {
         "requests": 0, "ok": 0, "errors": 0, "violations": 0,
         "degraded": 0, "dropped": 0, "timeouts": 0,
         "malformed_sent": 0, "oversized_sent": 0, "disconnects_injected": 0,
@@ -300,8 +318,8 @@ def _chaos_worker(
             client.close()
         except OSError:
             pass
-    out.update(counters)
-    out["latencies"] = latencies
+    counters["latencies"] = latencies
+    return counters
 
 
 def run_chaos_bench(
@@ -351,7 +369,10 @@ def run_chaos_bench(
             wall = time.perf_counter() - start
             for out in outs:
                 if "requests" not in out:
-                    raise RuntimeError("a chaos worker died before reporting")
+                    raise RuntimeError(
+                        "a chaos worker died before reporting:\n"
+                        + out.get("error", "(no exception recorded)")
+                    )
             with ServeClient(daemon.host, daemon.port, timeout=10) as probe:
                 stats = probe.stats()
             latencies = sorted(lat for out in outs for lat in out["latencies"])

@@ -2,10 +2,11 @@
 
 The on-disk :class:`~repro.parallel.cache.ResultCache` makes a repeated
 experiment free of *computation*; this tier also makes it free of
-*deserialization* — a hot entry is returned as the live payload object
-without touching the filesystem.  The tier is a transparent overlay:
-any sequence of ``get``/``put`` operations observes exactly the
-payloads the on-disk cache alone would serve (the Hypothesis property
+*serialization* — a hot entry is the payload's encoded wire bytes,
+spliced into the reply without touching the filesystem or re-encoding.
+The tier is a transparent overlay: any sequence of ``get``/``put``
+operations observes, once decoded, exactly the payloads the on-disk
+cache alone would serve (the Hypothesis property
 ``tests/serve/test_lru.py`` pins), it only changes where they come
 from.  Eviction is strict least-recently-used over both reads and
 writes, and the tier never holds more than ``capacity`` entries.
@@ -14,23 +15,23 @@ All operations take an internal lock: the serve daemon touches the tier
 from compute-lane workers, and the load generator hammers it from
 client threads, so the counters and the recency order must not race.
 
-Integrity mirrors the disk tier: :class:`TieredResultCache` pins each
-cached payload's SHA-256 (:func:`repro.parallel.cache.payload_digest`)
-when it enters the hot tier and re-verifies it on every LRU hit.  A
-mutated in-memory entry is discarded (counted in
-``integrity_failures``) and the lookup falls through to disk — which
-runs its own verify-on-read — so a corrupt payload never crosses the
-serving boundary from either tier.
+Integrity: a hot entry is ``bytes``, which nothing can mutate, so the
+tier serves it as stored.  The disk tier keeps its own verify-on-read
+(a SHA-256 per entry, corrupt entries quarantined as misses), so a
+corrupt payload never crosses the serving boundary from either tier.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
-from ..parallel.cache import ResultCache, payload_digest
+from ..parallel.cache import ResultCache
+from ..parallel.cache import payload_digest  # noqa: F401 - servebench/launcher.py wraps this name
+from .protocol import encode_payload
 
 #: Default entry bound for the daemon's hot tier.
 DEFAULT_LRU_CAPACITY = 4096
@@ -69,14 +70,6 @@ class LRUTier:
                 self._data.popitem(last=False)
                 self.evictions += 1
 
-    def discard(self, key: str) -> bool:
-        """Drop ``key`` if present (no recency change); True if it was."""
-        with self._lock:
-            if key not in self._data:
-                return False
-            del self._data[key]
-            return True
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)
@@ -105,16 +98,14 @@ class LRUTier:
 class TieredResultCache:
     """LRU tier composed over an optional on-disk :class:`ResultCache`.
 
-    ``get`` answers from memory when it can, falls through to disk on an
-    LRU miss (promoting the entry back into memory), and reports which
-    tier answered; ``put`` writes through to both tiers.  With no disk
-    cache configured the daemon still gets its hot tier — results just
-    don't survive a restart.
-
-    The hot tier stores ``(payload, sha256)`` pairs internally and
-    verifies the digest on every hit; an entry whose bytes no longer
-    hash to what was stored is discarded and re-fetched from disk (or
-    recomputed) instead of served.
+    Payloads go in and come out as encoded wire bytes
+    (:func:`~repro.serve.protocol.encode_payload`).  ``get`` answers
+    from memory when it can, falls through to disk on an LRU miss
+    (encoding the entry once and promoting it back into memory), and
+    reports which tier answered; ``put`` writes through to both tiers,
+    the disk entry holding the decoded payload.  With no disk cache
+    configured the daemon still gets its hot tier — results just don't
+    survive a restart.
     """
 
     def __init__(
@@ -124,42 +115,31 @@ class TieredResultCache:
     ) -> None:
         self.lru = lru if lru is not None else LRUTier()
         self.disk = disk
-        self.integrity_failures = 0
-        self._lock = threading.Lock()
 
-    def get(self, key: str) -> Tuple[Optional[Any], Optional[str]]:
-        """``(payload, tier)`` where tier is ``"lru"``, ``"disk"`` or None."""
-        cached = self.lru.get(key)
-        if cached is not None:
-            payload, digest = cached
-            if payload_digest(payload) == digest:
-                return payload, "lru"
-            # A mutated hot entry: drop it and fall through to disk,
-            # which re-verifies independently.
-            self.lru.discard(key)
-            with self._lock:
-                self.integrity_failures += 1
+    def get(self, key: str) -> Tuple[Optional[bytes], Optional[str]]:
+        """``(payload bytes, tier)`` where tier is ``"lru"``, ``"disk"`` or None."""
+        payload = self.lru.get(key)
+        if payload is not None:
+            return payload, "lru"
         if self.disk is not None:
-            payload = self.disk.get(key)
-            if payload is not None:
-                self.lru.put(key, (payload, payload_digest(payload)))
+            entry = self.disk.get(key)
+            if entry is not None:
+                payload = encode_payload(entry)
+                self.lru.put(key, payload)
                 return payload, "disk"
         return None, None
 
-    def put(self, key: str, payload: Any) -> Optional[Path]:
+    def put(self, key: str, payload: bytes) -> Optional[Path]:
         """Write through both tiers; returns the on-disk entry path (or
         None without a disk tier) so callers — the chaos injector's
         ``corrupt_disk`` site — can address the file just written."""
-        self.lru.put(key, (payload, payload_digest(payload)))
+        self.lru.put(key, payload)
         if self.disk is not None:
-            return self.disk.put(key, payload)
+            return self.disk.put(key, json.loads(payload))
         return None
 
     def stats(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "lru": self.lru.stats(),
-            "integrity_failures": self.integrity_failures,
-        }
+        out: Dict[str, Any] = {"lru": self.lru.stats()}
         if self.disk is not None:
             out["disk"] = {
                 "hits": self.disk.hits,

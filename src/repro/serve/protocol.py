@@ -29,22 +29,25 @@ wrong result.
 
 Payload projections (:func:`experiment_payload`, :func:`trace_payload`)
 define what a lane serves, as a deterministic pure function of the
-normalized spec — wall-clock fields are zeroed, numpy scalars
-collapsed, and everything is round-tripped through JSON once so the
-cold, LRU-hot and disk-hot paths are bit-identical (the contract
-``tests/serve/test_conformance.py`` pins against direct in-process
-runs).
+normalized spec — wall-clock fields are zeroed and numpy scalars
+collapsed.  Each result is encoded to its wire bytes once, when it is
+computed (:func:`encode_payload`); the LRU tier stores those bytes and
+:func:`encode_message` splices them into every reply, so the cold,
+in-flight and LRU-hot paths send the same bytes and the disk-hot path
+the same values (the contract ``tests/serve/test_conformance.py`` pins
+against direct in-process runs).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..arch import registry as machine_registry
 from ..arch.specs import SystemSpec
 from ..parallel.cache import cache_key
+from ..perfmodel.oracle import OracleRequest
 
 #: Machine presets a request may name — the whole zoo.  Key material
 #: uses the spec's repr, so names aliasing one spec (``e870`` and
@@ -115,10 +118,38 @@ class OversizedLineError(ProtocolError):
 
 
 def encode_message(message: Mapping[str, Any]) -> bytes:
-    """One protocol message as a compact JSON line."""
-    return json.dumps(message, separators=(",", ":"), default=_collapse).encode(
-        "utf-8"
-    ) + b"\n"
+    """One protocol message as a compact JSON line.
+
+    A ``payload`` already encoded (``bytes``, from :func:`encode_payload`)
+    is spliced in place, so the line is byte-identical to encoding the
+    decoded payload inside the message.
+    """
+    payload = message.get("payload")
+    if isinstance(payload, bytes):
+        return _splice(message, payload)
+    return _ENCODER.encode(message).encode("utf-8") + b"\n"
+
+
+def encode_payload(payload: Any) -> bytes:
+    """A payload's wire bytes: what :func:`encode_message` writes for it
+    inside a response (same separators, same numpy collapse)."""
+    return _ENCODER.encode(payload).encode("utf-8")
+
+
+def _splice(message: Mapping[str, Any], payload: bytes) -> bytes:
+    """Encode ``message`` with its pre-encoded ``payload`` bytes in place,
+    keeping the message's key order."""
+    head: Dict[str, Any] = {}
+    tail: Dict[str, Any] = {}
+    part = head
+    for name, value in message.items():
+        if name == "payload":
+            part = tail
+        else:
+            part[name] = value
+    out = _ENCODER.encode(head)[:-1] + (',"payload":' if head else '"payload":')
+    end = "," + _ENCODER.encode(tail)[1:] if tail else "}"
+    return out.encode("utf-8") + payload + end.encode("utf-8") + b"\n"
 
 
 def decode_message(line: bytes) -> Dict[str, Any]:
@@ -211,12 +242,18 @@ def _collapse(value: Any) -> Any:
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
+#: The wire encoder: compact separators, numpy scalars collapsed.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_collapse)
+
+
 def canonical(payload: Any) -> Any:
-    """One round-trip through JSON: exactly what a client receives.
+    """One round-trip through JSON: exactly what a client decodes.
 
     Served payloads are defined *post*-serialization (tuples are lists,
-    numpy scalars are numbers), so equality between the cold, LRU-hot,
-    disk-hot and direct in-process paths is equality of this form.
+    numpy scalars are numbers), so equality between the served and the
+    direct in-process results is equality of this form.  The daemon
+    itself encodes each payload straight to bytes
+    (:func:`encode_payload`), which decode to this form.
     """
     return json.loads(json.dumps(payload, default=_collapse))
 
@@ -232,12 +269,18 @@ class NormalizedRequest:
     sorted-key compact JSON object) that, with the machine spec and
     seed, addresses the result: the daemon's cache key, dedup identity
     and compute instructions are all derived from it and nothing else.
+    An analytic spec also carries its parsed ``oracle_request`` (the
+    object ``workload_json`` was built from), so the lane need not
+    parse it again; it takes no part in equality.
     """
 
     kind: str
     machine: str
     seed: int
     workload_json: str
+    oracle_request: Optional[OracleRequest] = field(
+        default=None, compare=False, repr=False
+    )
 
     def workload_dict(self) -> Dict[str, Any]:
         return json.loads(self.workload_json)
@@ -248,12 +291,20 @@ class NormalizedRequest:
     def key(self) -> str:
         """Content-addressed key, shared with the on-disk cache scheme."""
         return cache_key(
-            machine=self.system(), workload=self.workload_dict(), seed=self.seed
+            machine=self.system(), workload=self.workload_json, seed=self.seed
         )
 
 
+#: Key-material encoder: sorted keys, compact, numpy scalars collapsed.
+_FREEZER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_collapse)
+
+
 def _freeze(workload: Mapping[str, Any]) -> str:
-    return json.dumps(workload, sort_keys=True, separators=(",", ":"))
+    return _FREEZER.encode(workload)
+
+
+#: :class:`OracleRequest` field names, in declaration order.
+_ORACLE_FIELDS = tuple(f.name for f in fields(OracleRequest))
 
 
 def _int_field(spec: Mapping[str, Any], name: str, default: int, minimum: int) -> int:
@@ -311,17 +362,20 @@ def normalize_request(spec: Mapping[str, Any]) -> NormalizedRequest:
         )
     seed = _int_field(spec, "seed", 0, 0)
 
+    oracle_request = None
     if kind == "analytic":
         request = spec.get("request")
         if not isinstance(request, Mapping):
             raise ProtocolError("analytic spec needs a 'request' object")
-        from ..perfmodel.oracle import OracleRequest
-
         try:
             oracle_request = OracleRequest.from_dict(dict(request))
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"bad oracle request: {exc}") from None
-        workload = {"serve": "analytic", "request": canonical(oracle_request.to_dict())}
+        # The frozen request's own fields, dumped as they stand: tuples
+        # encode as arrays, so this is the bytes of its to_dict() after
+        # a JSON round-trip, without the asdict copy or the round-trip.
+        request = {name: getattr(oracle_request, name) for name in _ORACLE_FIELDS}
+        workload = {"serve": "analytic", "request": request}
     elif kind == "experiment":
         if seed != 0:
             raise ProtocolError(
@@ -354,7 +408,11 @@ def normalize_request(spec: Mapping[str, Any]) -> NormalizedRequest:
             "inject": inject,
         }
     return NormalizedRequest(
-        kind=kind, machine=machine, seed=seed, workload_json=_freeze(workload)
+        kind=kind,
+        machine=machine,
+        seed=seed,
+        workload_json=_freeze(workload),
+        oracle_request=oracle_request,
     )
 
 

@@ -1,6 +1,10 @@
 """Unit tests for the BENCH_*.json cross-run trajectory checker."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -142,3 +146,17 @@ class TestCLI:
     def test_rejects_missing_artifact(self, tmp_path):
         with pytest.raises(SystemExit):
             main([str(tmp_path / "nope.json"), "--baseline", str(tmp_path)])
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    """``python -m repro.reporting.trajectory`` must not find the module
+    already imported by its package (runpy's RuntimeWarning)."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.reporting.trajectory", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -252,3 +252,23 @@ def test_chaos_counts_surface_in_stats():
             with pytest.raises(ServeError):
                 client.run(**TRACE_SPEC)
             assert client.stats()["chaos"] == {"lane_error": 1}
+
+
+def test_chaos_worker_reports_its_error_instead_of_an_empty_out():
+    """A harness worker that cannot reach the daemon records the
+    exception (type, message, traceback) for the harness to raise with."""
+    import socket
+
+    from repro.serve.loadgen import _chaos_worker, chase_spec
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]  # closed again before the worker dials
+    out = {}
+    _chaos_worker(
+        "127.0.0.1", port, [chase_spec(4096)], {},
+        ChaosInjector(ChaosPlan.parse("")), out,
+    )
+    assert "requests" not in out
+    assert "ConnectionRefusedError" in out["error"]
+    assert "Traceback" in out["error"]

@@ -22,12 +22,14 @@ and 15 dedup joins.
 """
 
 import asyncio
+import json
 import threading
 import time
 
 import pytest
 
 from repro.serve import ReproServer, ServeClient, ServerThread
+from repro.serve.protocol import encode_payload
 
 
 def spec(seed=0, request_id=None):
@@ -56,7 +58,13 @@ class ComputeSpy:
         assert self.release.wait(timeout=30), "spy never released"
         if self.fail_first and ordinal == 1:
             raise RuntimeError("synthetic lane failure")
-        return {"execution": ordinal, "seed": normalized.seed}, True
+        return encode_payload({"execution": ordinal, "seed": normalized.seed}), True
+
+
+def decoded(response):
+    """An in-process response's payload: ``handle_request`` carries it as
+    the encoded bytes the socket path splices into the reply."""
+    return json.loads(response["payload"])
 
 
 async def wait_until(predicate, timeout=10.0):
@@ -86,7 +94,7 @@ def test_identical_concurrent_requests_execute_once():
         responses = await asyncio.gather(*waiters)
 
         assert [r["ok"] for r in responses] == [True] * n
-        assert {r["payload"]["execution"] for r in responses} == {1}
+        assert {decoded(r)["execution"] for r in responses} == {1}
         assert {r["key"] for r in responses} == {spy.calls[0]}
         assert server.stats.computed == 1
         assert server.stats.deduped == n - 1
@@ -109,7 +117,7 @@ def test_distinct_seeds_fan_out():
         assert len(spy.calls) == len(set(spy.calls)) == 5
         assert server.stats.deduped == 0
         assert server.stats.computed == 5
-        assert {r["payload"]["seed"] for r in responses} == set(range(5))
+        assert {decoded(r)["seed"] for r in responses} == set(range(5))
 
     asyncio.run(scenario())
 
@@ -134,13 +142,13 @@ def test_cancelled_waiter_does_not_poison_the_shared_future():
         spy.release.set()
         response = await second
         assert response["ok"] is True
-        assert response["payload"]["execution"] == 1
+        assert decoded(response)["execution"] == 1
         assert len(spy.calls) == 1  # never re-executed
 
         # And the result was cached on the way out.
         third = await server.handle_request(spec(request_id=3))
         assert third["source"] == "lru"
-        assert third["payload"] == response["payload"]
+        assert decoded(third) == decoded(response)
 
     asyncio.run(scenario())
 

@@ -9,11 +9,14 @@ the laws the daemon relies on:
   ``put`` both freshen recency; ``in`` does not);
 * a ``put`` followed by ``get`` round-trips the payload unchanged;
 * :class:`~repro.serve.lru.TieredResultCache` is a transparent overlay:
-  reads through it return exactly what a bare on-disk
+  reads through it return, decoded, exactly what a bare on-disk
   :class:`~repro.parallel.cache.ResultCache` would, regardless of the
-  interleaving that got the entry there.
+  interleaving that got the entry there.  The overlay stores and
+  returns encoded payload bytes, so ``put``/``get`` go through
+  :func:`~repro.serve.protocol.encode_payload` and ``json.loads``.
 """
 
+import json
 import tempfile
 
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.parallel.cache import ResultCache
 from repro.serve.lru import LRUTier, TieredResultCache
+from repro.serve.protocol import encode_payload
 
 # Small alphabets force collisions, evictions and re-insertions.
 keys = st.integers(min_value=0, max_value=11).map(lambda i: f"k{i:02d}")
@@ -123,11 +127,12 @@ def test_tiered_overlay_is_transparent(script):
         bare = ResultCache(tmp_b)
         for op, key, payload in script:
             if op == "put":
-                tiered.put(key, payload)
+                tiered.put(key, encode_payload(payload))
                 bare.put(key, payload)
             else:
                 got, source = tiered.get(key)
-                assert got == bare.get(key)
+                expected = bare.get(key)
+                assert (got if got is None else json.loads(got)) == expected
                 if got is not None:
                     assert source in ("lru", "disk")
                     # A disk hit must have been promoted.
@@ -139,11 +144,11 @@ def test_tiered_overlay_is_transparent(script):
 def test_overlay_survives_lru_eviction_via_disk():
     with tempfile.TemporaryDirectory() as tmp:
         tiered = TieredResultCache(LRUTier(1), ResultCache(tmp))
-        tiered.put("x", {"v": 1})
-        tiered.put("y", {"v": 2})  # evicts "x" from the LRU
+        tiered.put("x", encode_payload({"v": 1}))
+        tiered.put("y", encode_payload({"v": 2}))  # evicts "x" from the LRU
         assert "x" not in tiered.lru
         got, source = tiered.get("x")
-        assert got == {"v": 1}
+        assert json.loads(got) == {"v": 1}
         assert source == "disk"
         # ... and the read promoted it back into memory.
         got, source = tiered.get("x")
@@ -152,59 +157,46 @@ def test_overlay_survives_lru_eviction_via_disk():
 
 def test_overlay_without_disk_is_just_the_lru():
     tiered = TieredResultCache(LRUTier(1), None)
-    tiered.put("x", {"v": 1})
-    tiered.put("y", {"v": 2})
+    tiered.put("x", encode_payload({"v": 1}))
+    tiered.put("y", encode_payload({"v": 2}))
     assert tiered.get("x") == (None, None)
-    assert tiered.get("y") == ({"v": 2}, "lru")
+    assert tiered.get("y") == (b'{"v":2}', "lru")
 
 
-# -- integrity (self-healing cache) ------------------------------------------
+# -- integrity ---------------------------------------------------------------
 
 
-def test_lru_hit_verifies_digest_and_falls_back_to_disk():
-    """A payload mutated in memory after insertion fails its SHA-256
-    check on the next hit: the poisoned entry is discarded, the
-    integrity counter bumps, and the read falls through to disk."""
-    with tempfile.TemporaryDirectory() as tmp:
-        tiered = TieredResultCache(LRUTier(4), ResultCache(tmp))
-        tiered.put("x", {"v": 1, "rows": [1, 2]})
-        stored_payload, _ = tiered.lru._data["x"]
-        stored_payload["v"] = 999  # memory corruption stand-in
-        got, source = tiered.get("x")
-        assert got == {"v": 1, "rows": [1, 2]}  # healed from disk
-        assert source == "disk"
-        assert tiered.integrity_failures == 1
-        assert tiered.stats()["integrity_failures"] == 1
-        # The disk copy re-promoted a good entry; subsequent hits are clean.
-        assert tiered.get("x") == ({"v": 1, "rows": [1, 2]}, "lru")
-        assert tiered.integrity_failures == 1
-
-
-def test_lru_integrity_failure_without_disk_is_a_miss():
+def test_mutating_a_decoded_hit_leaves_the_next_hit_unchanged():
+    """A hot entry is bytes: whatever a caller does to the payload it
+    decoded from one hit, the next hit serves the stored bytes."""
     tiered = TieredResultCache(LRUTier(4), None)
-    tiered.put("x", {"v": 1})
-    payload, _ = tiered.lru._data["x"]
-    payload["v"] = 2
-    assert tiered.get("x") == (None, None)
-    assert tiered.integrity_failures == 1
-    assert "x" not in tiered.lru  # the poisoned entry was dropped
+    stored = encode_payload({"v": 1, "rows": [1, 2]})
+    tiered.put("x", stored)
+    first, _ = tiered.get("x")
+    decoded = json.loads(first)
+    decoded["v"] = 999
+    decoded["rows"].append(3)
+    assert tiered.get("x") == (stored, "lru")
+
+
+def test_disk_entry_matches_the_computed_bytes():
+    """The disk tier stores the decoded payload, so its JSON and SHA-256
+    are what a dict payload put directly would have written."""
+    payload = {"rows": [[1, 2.5]], "kind": "chase", "notes": ""}
+    with tempfile.TemporaryDirectory() as tmp_a, tempfile.TemporaryDirectory() as tmp_b:
+        path = TieredResultCache(LRUTier(2), ResultCache(tmp_a)).put(
+            "x", encode_payload(payload)
+        )
+        bare = ResultCache(tmp_b).put("x", payload)
+        assert path.read_bytes() == bare.read_bytes()
 
 
 def test_tiered_put_returns_the_disk_path():
     with tempfile.TemporaryDirectory() as tmp:
         tiered = TieredResultCache(LRUTier(2), ResultCache(tmp))
-        path = tiered.put("x", {"v": 1})
+        path = tiered.put("x", encode_payload({"v": 1}))
         assert path is not None and path.is_file()
-    assert TieredResultCache(LRUTier(2), None).put("x", {"v": 1}) is None
-
-
-def test_lru_tier_discard():
-    tier = LRUTier(2)
-    tier.put("a", {"v": 1})
-    assert tier.discard("a") is True
-    assert tier.discard("a") is False
-    assert "a" not in tier
-    assert tier.get("a") is None
+    assert TieredResultCache(LRUTier(2), None).put("x", encode_payload({"v": 1})) is None
 
 
 def test_quarantined_disk_entry_surfaces_in_tier_stats():
@@ -213,8 +205,8 @@ def test_quarantined_disk_entry_surfaces_in_tier_stats():
     with tempfile.TemporaryDirectory() as tmp:
         disk = ResultCache(tmp)
         tiered = TieredResultCache(LRUTier(1), disk)
-        path = tiered.put("x", {"v": 1})
-        tiered.put("y", {"v": 2})  # evict "x" from memory
+        path = tiered.put("x", encode_payload({"v": 1}))
+        tiered.put("y", encode_payload({"v": 2}))  # evict "x" from memory
         path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2])
         assert tiered.get("x") == (None, None)  # truncated -> quarantined miss
         assert tiered.stats()["disk"]["quarantined"] == 1
