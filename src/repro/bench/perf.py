@@ -1,9 +1,9 @@
 """The perf scenarios behind one entry point: ``python -m repro.bench perf NAME``.
 
 Each scenario in :data:`SCENARIOS` names four things: the ``run_*``
-function that measures it, the summary lines it prints, the pass
-predicate that sets the exit code, and the ``BENCH_*.json`` artifact
-it writes (``--out`` overrides the path)::
+function that measures it, the summary lines it prints, the named
+checks that gate it, and the ``BENCH_*.json`` artifact it writes
+(``--out`` overrides the path)::
 
     python -m repro.bench perf trace            # -> BENCH_trace.json
     python -m repro.bench perf stream-fastpath  # -> BENCH_stream_fastpath.json
@@ -12,11 +12,12 @@ it writes (``--out`` overrides the path)::
     python -m repro.bench perf chaos            # -> BENCH_chaos.json
     python -m repro.bench perf compare          # -> BENCH_compare.json
 
-What every scenario records goes through one place each:
-:func:`time_repeats` times repeated samples and keeps their min (the
-best-of that speedups and floors read), median and IQR, and
-:func:`write_bench` writes every artifact with the host it ran on.
-The ``benchmarks/test_perf_*.py`` gates write through the same writer.
+This is the one place a scenario is run and gated: a failed check is
+printed by name and the command exits 1.  What every scenario records
+goes through one place each: :func:`time_repeats` times repeated
+samples and keeps their min (the best-of that speedups and floors
+read), median and IQR, and :func:`write_bench` writes every artifact
+with the host it ran on.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from importlib import import_module
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -170,9 +171,6 @@ def _parallel_lines(result: Dict) -> List[str]:
 
 def _chaos_lines(result: Dict) -> List[str]:
     mixed = result["mixed_fault"]
-    quarantine = result["quarantine"]
-    overload = result["overload"]
-    drain = result["drain"]
     return [
         f"mixed faults:  {mixed['requests']} requests, "
         f"availability {mixed['availability']:.4f}, "
@@ -182,15 +180,6 @@ def _chaos_lines(result: Dict) -> List[str]:
         f"{mixed['oversized_sent']} oversized, "
         f"{mixed['disconnects_injected']} client disconnects; "
         f"server drops {mixed['dropped']}, timeouts {mixed['timeouts']}",
-        f"quarantine:    corrupt entry -> "
-        f"{'healed bit-identical' if quarantine['payload_identical'] else 'MISMATCH'} "
-        f"({quarantine['quarantined']} file(s) quarantined, "
-        f"healed via {quarantine['healed_source']})",
-        f"overload:      {overload['total_shed']} shed "
-        f"(busy {overload['busy']}, quota {overload['quota']}), "
-        f"{overload['ok']} served",
-        f"drain:         SIGTERM exit code {drain['exit_code']}, "
-        f"banner {'present' if drain['drained_line_present'] else 'MISSING'}",
     ]
 
 
@@ -198,12 +187,85 @@ def _compare_lines(result: Dict) -> List[str]:
     return [f"{len(result['machines'])} machines: {', '.join(result['machines'])}"]
 
 
-def _chaos_passed(result: Dict) -> bool:
-    return (
-        result["mixed_fault"]["violations"] == 0
-        and result["quarantine"]["payload_identical"]
-        and result["drain"]["exit_code"] == 0
-    )
+# -- the checks --------------------------------------------------------------
+
+#: A named pass check on a scenario's result.
+Check = Tuple[str, Callable[[Dict], Any]]
+
+
+def _lanes(names: Iterable[str], label: str, test: Callable[[Dict], Any]) -> List[Check]:
+    """``test`` on each named lane of ``result["lanes"]``, as ``<lane>.<label>``."""
+    return [
+        (f"{name}.{label}", lambda r, name=name: test(r["lanes"][name]))
+        for name in names
+    ]
+
+
+ANALYTIC_LANES = ("lat_mem", "stream", "prefetch")
+
+#: Fast-path speedup floors per lane; prefetch is the headline bar.
+STREAM_FASTPATH_FLOORS = {
+    "prefetch": 5.0,
+    "stream_read": 2.5,
+    "stream_write": 2.5,
+    "resident_write": 4.0,
+}
+
+TRACE_CHECKS: List[Check] = [
+    ("simulated_mean_latency_ns > 0", lambda r: r["simulated_mean_latency_ns"] > 0),
+    ("speedup >= 10", lambda r: r["speedup"] >= 10.0),
+]
+
+STREAM_FASTPATH_CHECKS: List[Check] = [
+    ("lanes == prefetch, stream_read, stream_write, resident_write",
+     lambda r: set(r["lanes"]) == set(STREAM_FASTPATH_FLOORS)),
+    *_lanes(STREAM_FASTPATH_FLOORS, "simulated_mean_latency_ns > 0",
+            lambda lane: lane["simulated_mean_latency_ns"] > 0),
+    *(
+        (f"{name}.speedup >= {floor}",
+         lambda r, name=name, floor=floor: r["lanes"][name]["speedup"] >= floor)
+        for name, floor in STREAM_FASTPATH_FLOORS.items()
+    ),
+]
+
+ANALYTIC_CHECKS: List[Check] = [
+    ("lanes == lat_mem, stream, prefetch",
+     lambda r: set(r["lanes"]) == set(ANALYTIC_LANES)),
+    *_lanes(ANALYTIC_LANES, "speedup >= 1000", lambda lane: lane["speedup"] >= 1000.0),
+    *_lanes(ANALYTIC_LANES, "within_tolerance", lambda lane: lane["within_tolerance"]),
+    ("prefetch.counters_exact", lambda r: r["lanes"]["prefetch"]["counters_exact"]),
+    ("stream.max_rel_err < 1e-9", lambda r: r["lanes"]["stream"]["max_rel_err"] < 1e-9),
+    ("all_within_tolerance", lambda r: r["all_within_tolerance"]),
+]
+
+PARALLEL_CHECKS: List[Check] = [
+    ("bit_identical", lambda r: r["bit_identical"]),
+    ("sharded_l1_hit_fraction > serial_l1_hit_fraction",
+     lambda r: r["sharded_l1_hit_fraction"] > r["serial_l1_hit_fraction"]),
+    ("speedup >= 2.0", lambda r: r["speedup"] >= 2.0),
+]
+
+CHAOS_CHECKS: List[Check] = [
+    ("mixed_fault.violations == 0", lambda r: r["mixed_fault"]["violations"] == 0),
+    ("mixed_fault.availability >= 0.99",
+     lambda r: r["mixed_fault"]["availability"] >= 0.99),
+    ("mixed_fault.server_chaos_counts non-empty",
+     lambda r: r["mixed_fault"]["server_chaos_counts"]),
+]
+
+
+def failed_checks(checks: Sequence[Check], result: Dict) -> List[str]:
+    """Names of the ``checks`` that ``result`` fails; a check whose
+    fields are missing fails too."""
+    failed = []
+    for name, check in checks:
+        try:
+            ok = bool(check(result))
+        except (KeyError, TypeError):
+            ok = False
+        if not ok:
+            failed.append(name)
+    return failed
 
 
 # -- the scenario table ------------------------------------------------------
@@ -215,7 +277,7 @@ class Scenario:
 
     run: Callable[[], Dict]
     summary: Callable[[Dict], List[str]]
-    passed: Callable[[Dict], bool]
+    checks: Sequence[Check]
     artifact: str
 
 
@@ -225,34 +287,31 @@ def _lazy(module: str, func: str) -> Callable[[], Dict]:
     return lambda: getattr(import_module(module, __package__), func)()
 
 
-def _always(result: Dict) -> bool:
-    return True
-
-
 SCENARIOS: Dict[str, Scenario] = {
     "trace": Scenario(
         _lazy(".trace_perf", "run_trace_bench"),
-        _trace_lines, _always, "BENCH_trace.json",
+        _trace_lines, TRACE_CHECKS, "BENCH_trace.json",
     ),
     "stream-fastpath": Scenario(
         _lazy(".stream_fastpath_perf", "run_stream_fastpath_bench"),
-        _stream_fastpath_lines, _always, "BENCH_stream_fastpath.json",
+        _stream_fastpath_lines, STREAM_FASTPATH_CHECKS,
+        "BENCH_stream_fastpath.json",
     ),
     "analytic": Scenario(
         _lazy(".analytic_perf", "run_analytic_bench"),
-        _analytic_lines, lambda r: r["all_within_tolerance"], "BENCH_analytic.json",
+        _analytic_lines, ANALYTIC_CHECKS, "BENCH_analytic.json",
     ),
     "parallel": Scenario(
         _lazy(".parallel_perf", "run_parallel_bench"),
-        _parallel_lines, lambda r: r["bit_identical"], "BENCH_parallel.json",
+        _parallel_lines, PARALLEL_CHECKS, "BENCH_parallel.json",
     ),
     "chaos": Scenario(
         _lazy("..serve.loadgen", "run_chaos_bench"),
-        _chaos_lines, _chaos_passed, "BENCH_chaos.json",
+        _chaos_lines, CHAOS_CHECKS, "BENCH_chaos.json",
     ),
     "compare": Scenario(
         _lazy(".compare", "run_compare_bench"),
-        _compare_lines, _always, "BENCH_compare.json",
+        _compare_lines, (), "BENCH_compare.json",
     ),
 }
 
@@ -261,7 +320,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench perf",
         description="Run one perf scenario, print its summary and write its "
-                    "BENCH_*.json artifact; exits 1 when its pass check fails.",
+                    "BENCH_*.json artifact; exits 1, naming each failed check.",
     )
     parser.add_argument("name", choices=list(SCENARIOS), help="scenario to run")
     parser.add_argument(
@@ -276,4 +335,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     write_bench(out, result)
     print("\n".join(scenario.summary(result)))
     print(f"[wrote {out}]")
-    return 0 if scenario.passed(result) else 1
+    failed = failed_checks(scenario.checks, result)
+    for name in failed:
+        print(f"FAILED {args.name}: {name}")
+    return 1 if failed else 0

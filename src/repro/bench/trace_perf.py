@@ -8,10 +8,9 @@ speedup.  The headline configuration is a 1M-access chase over a 32 KB
 working set — the L1-resident steady state of the lmbench plateau,
 where the batch engine's all-hit fast path does the most work.
 
-``python -m repro.bench perf trace`` runs it and writes the result
-JSON (``BENCH_trace.json`` at the repo root by default); the
-``benchmarks/test_perf_trace_engine.py`` harness asserts the >=10x
-acceptance bar on the same entry point.
+``python -m repro.bench perf trace`` runs it, writes the result JSON
+(``BENCH_trace.json`` at the repo root by default) and exits 1 below
+the >=10x acceptance bar.
 """
 
 from __future__ import annotations

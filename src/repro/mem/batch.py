@@ -7,7 +7,7 @@ arrays in one call.  It is bit-for-bit equivalent to the reference
 per-access simulator — identical per-level hit counts, per-access
 latencies, LRU replacement state and eviction/write-back streams — and
 is what makes million-access lmbench-style traces affordable (see
-``BENCH_trace.json`` and ``benchmarks/test_perf_trace_engine.py``).
+``BENCH_trace.json`` and ``python -m repro.bench perf trace``).
 
 Design
 ------

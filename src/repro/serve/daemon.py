@@ -32,12 +32,15 @@ itself.  A request travels::
   waiter* waits (``deadline`` error on expiry).  It never cancels the
   shared computation — the result still lands in the cache for the
   retry the error invites.
-* **Circuit breakers**: one per lane kind.  ``breaker_threshold``
-  consecutive lane failures trip it open; while open, cache hits still
-  serve, trace requests degrade to an analytic approximation (marked
-  ``degraded``, never cached) and other kinds shed with
-  ``circuit_open``.  After ``breaker_cooldown_s`` one probe is allowed
-  through (half-open); success closes the breaker, failure re-opens it.
+* **Circuit breakers**: one per heavy lane kind (experiment, trace).
+  ``breaker_threshold`` consecutive lane failures trip it open; while
+  open, cache hits still serve, trace requests degrade to an analytic
+  approximation (marked ``degraded``, never cached) and experiments
+  shed with ``circuit_open``.  After ``breaker_cooldown_s`` one probe
+  is allowed through (half-open); success closes the breaker, failure
+  re-opens it.  The analytic lane has none: the oracle is a pure
+  in-process function, so its failures belong to the request that
+  caused them and there is no dependency to protect.
 * **Compute lanes**: ``analytic`` requests go to the
   :class:`~repro.perfmodel.oracle.AnalyticOracle`; ``experiment``
   requests run fail-soft through
@@ -521,7 +524,7 @@ class ReproServer:
             # Admission and breaker checks apply only here: hits and
             # joins cost the daemon nothing it hasn't already paid for.
             breaker = self._breaker(normalized.kind)
-            if not breaker.allow():
+            if breaker is not None and not breaker.allow():
                 return self._circuit_open_response(request_id, normalized, key)
             if self._active[lane_class] >= getattr(
                 self.resilience, f"max_{lane_class}"
@@ -603,7 +606,10 @@ class ReproServer:
             # (deadlines, disconnects) nobody else will look at it.
             task.exception()
 
-    def _breaker(self, kind: str) -> CircuitBreaker:
+    def _breaker(self, kind: str) -> Optional[CircuitBreaker]:
+        """The breaker of a heavy lane; ``None`` for ``analytic``."""
+        if kind == "analytic":
+            return None
         if kind not in self._breakers:
             self._breakers[kind] = CircuitBreaker(
                 self.resilience.breaker_threshold,
@@ -615,7 +621,7 @@ class ReproServer:
         self, request_id: Any, normalized: NormalizedRequest, key: str
     ) -> Dict[str, Any]:
         """A breaker-open answer: degrade trace requests to the analytic
-        model (clearly marked, never cached), shed everything else."""
+        model (clearly marked, never cached), shed experiments."""
         if normalized.kind == "trace":
             try:
                 payload = self._degraded_payload(normalized)
@@ -669,9 +675,11 @@ class ReproServer:
         try:
             payload, cacheable = await self._in_lane(normalized, deadline_s)
         except Exception:
-            breaker.record_failure()
+            if breaker is not None:
+                breaker.record_failure()
             raise
-        breaker.record_success()
+        if breaker is not None:
+            breaker.record_success()
         self.stats.bump("computed")
         if cacheable:
             path = self.tier.put(key, payload)

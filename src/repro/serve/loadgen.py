@@ -2,22 +2,19 @@
 
 Spawns the daemon as a real subprocess (``python -m repro.serve``), so
 the measured service pays its own event loop, sockets and GIL — not
-the harness's — then runs four phases against chaos-armed daemons:
+the harness's — and runs one mixed-fault replay against it: every
+connection replays a deterministic, mostly-analytic stream while the
+daemon injects slow and crashing lanes, disk corruption and dropped
+connections, and the harness sends malformed and oversized lines and
+disconnects abruptly.  Every ``ok`` payload must be bit-identical to
+the locally computed one; ``perf chaos`` gates on zero violations and
+availability >= 99%.
 
-1. **mixed faults** — every connection replays a deterministic,
-   mostly-analytic stream while the daemon injects slow and crashing
-   lanes, disk corruption and dropped connections, and the harness
-   sends malformed and oversized lines and disconnects abruptly; every
-   ``ok`` payload must be bit-identical to the locally computed one;
-2. **quarantine** — a corrupted disk entry is quarantined and healed
-   bit-identically;
-3. **overload** — a slowed heavy lane with tight admission bounds must
-   shed with ``busy``/``quota`` rows rather than queue without bound;
-4. **drain** — SIGTERM mid-request ends the daemon with exit code 0 and
-   its ``drained`` banner.
-
-The end-to-end throughput and latency of the daemon are measured by the
-repo benchmark (``servebench/``), not here.
+Quarantine, overload shedding and SIGTERM drain each have their own
+deterministic test in ``tests/serve`` (``test_chaos.py``,
+``test_admission.py``, ``test_drain.py``).  The end-to-end throughput
+and latency of the daemon are measured by the repo benchmark
+(``servebench/``), not here.
 """
 
 from __future__ import annotations
@@ -67,9 +64,8 @@ class DaemonProcess:
     """``python -m repro.serve`` as a child, port scraped from stdout.
 
     ``extra_args`` rides extra CLI flags along (``--chaos``, admission
-    bounds) for the chaos harness; :meth:`terminate_and_wait` delivers
-    SIGTERM and collects the drain banner the daemon prints on the way
-    out.
+    bounds); :meth:`terminate_and_wait` delivers SIGTERM and collects
+    the drain banner the daemon prints on the way out.
     """
 
     def __init__(
@@ -328,8 +324,8 @@ def run_chaos_bench(
     seed: int = DEFAULT_CHAOS_SEED,
 ) -> Dict[str, Any]:
     """The ``perf chaos`` harness: availability and tail latency under
-    a seeded mixed-fault replay, plus deterministic quarantine, overload
-    and drain probes.  Returns the ``BENCH_chaos.json`` payload."""
+    a seeded mixed-fault replay.  Returns the ``BENCH_chaos.json``
+    payload."""
     expected = _chaos_expected()
     results: Dict[str, Any] = {
         "benchmark": "serve-daemon-chaos",
@@ -341,7 +337,6 @@ def run_chaos_bench(
     }
     client_plan = ChaosPlan.parse(CHAOS_CLIENT_SPEC)
 
-    # -- phase 1: mixed-fault replay ------------------------------------
     with tempfile.TemporaryDirectory(prefix="repro-chaos-bench-") as tmp:
         with DaemonProcess(
             tmp,
@@ -399,124 +394,13 @@ def run_chaos_bench(
                 "server_chaos_counts": stats.get("chaos"),
             }
 
-    # -- phase 2: deterministic corrupt-disk quarantine + self-heal -----
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-quar-") as tmp:
-        with DaemonProcess(
-            tmp,
-            lru_capacity=4,
-            extra_args=["--chaos", "corrupt_disk:at=1", "--chaos-seed", str(seed)],
-        ) as daemon:
-            with ServeClient(daemon.host, daemon.port, timeout=60) as client:
-                target = dict(CHAOS_TRACE_SPECS[0])
-                first = client.run(**target)
-                # Evict the target from the 4-entry LRU so the next
-                # fetch must read the (corrupted) disk entry.
-                for j in range(8):
-                    client.run(**chase_spec(CHAOS_HOT_BASE + j * _STEP))
-                healed = client.run(**target)
-                stats = client.stats()
-        results["quarantine"] = {
-            "first_source": first["source"],
-            "healed_source": healed["source"],
-            "payload_identical": first["payload"] == healed["payload"],
-            "quarantined": stats["tiers"]["disk"]["quarantined"],
-        }
-
-    # -- phase 3: overload shedding -------------------------------------
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-load-") as tmp:
-        with DaemonProcess(
-            tmp,
-            lru_capacity=64,
-            extra_args=[
-                "--chaos", "slow_lane:rate=1,delay_ms=400,lane=trace",
-                "--chaos-seed", str(seed),
-                "--max-heavy", "2",
-                "--client-heavy-quota", "2",
-            ],
-        ) as daemon:
-            shed: Dict[str, int] = {"busy": 0, "quota": 0, "ok": 0, "other": 0}
-            lock = threading.Lock()
-
-            def _flood(offset: int) -> None:
-                with ServeClient(daemon.host, daemon.port, timeout=60) as c:
-                    for j in range(4):
-                        spec = {
-                            "kind": "trace",
-                            "working_set": 64 * 1024,
-                            "seed": 100 + offset * 4 + j,
-                        }
-                        try:
-                            c.run(**spec)
-                            with lock:
-                                shed["ok"] += 1
-                        except ServeError as exc:
-                            with lock:
-                                if exc.code in ("busy", "quota"):
-                                    shed[exc.code] += 1
-                                else:
-                                    shed["other"] += 1
-
-            threads = [
-                threading.Thread(target=_flood, args=(i,)) for i in range(4)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            with ServeClient(daemon.host, daemon.port, timeout=10) as probe:
-                stats = probe.stats()
-        results["overload"] = {
-            **shed,
-            "total_shed": shed["busy"] + shed["quota"],
-            "server_shed": stats["stats"]["shed"],
-            "server_quota_shed": stats["stats"]["quota_shed"],
-        }
-
-    # -- phase 4: SIGTERM drain -----------------------------------------
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-drain-") as tmp:
-        daemon = DaemonProcess(
-            tmp, lru_capacity=64, extra_args=["--drain-timeout", "10"]
-        )
-        try:
-            slow = threading.Thread(
-                target=lambda: _swallow(
-                    lambda: ServeClient(daemon.host, daemon.port, timeout=30).run(
-                        kind="trace", working_set=256 * 1024, seed=999
-                    )
-                )
-            )
-            slow.start()
-            time.sleep(0.2)  # let the request reach a lane
-            exit_code, tail = daemon.terminate_and_wait()
-            slow.join(timeout=30)
-        finally:
-            daemon.stop()
-        drained_line = next(
-            (l for l in tail.splitlines() if l.startswith("drained ")), ""
-        )
-        results["drain"] = {
-            "exit_code": exit_code,
-            "drained_line_present": bool(drained_line),
-            "final_stats": (
-                json.loads(drained_line[len("drained "):]) if drained_line else None
-            ),
-        }
-
     results["note"] = (
         "availability = ok responses / requests under the seeded mixed-fault "
         "replay (server: slow/crashing lanes, disk corruption, dropped "
         "connections; client: malformed/oversized lines, abrupt "
         "disconnects); violations counts any ok non-degraded payload that "
         "was not bit-identical to the locally computed ground truth, and "
-        "the gate in benchmarks/test_perf_chaos.py requires zero."
+        "python -m repro.bench perf chaos requires zero."
     )
     return results
 
-
-def _swallow(fn) -> None:
-    """Run ``fn`` ignoring every exception (drain-phase background load:
-    the request may legitimately be cancelled or cut mid-drain)."""
-    try:
-        fn()
-    except Exception:
-        pass

@@ -2,9 +2,10 @@
 
 Scenarios are replaced by cheap stand-ins through
 ``monkeypatch.setitem(SCENARIOS, ...)``, so nothing here measures
-anything; the real runs are ``benchmarks/test_perf_*.py``.
+anything; the real runs are ``python -m repro.bench perf NAME`` itself.
 """
 
+import copy
 import dataclasses
 import json
 
@@ -24,21 +25,110 @@ def stub(monkeypatch, name, result):
     )
 
 
-def chaos_result(violations=0, payload_identical=True, exit_code=0):
-    return {
+STREAM_FASTPATH_FLOORS = {
+    "prefetch": 5.0, "stream_read": 2.5, "stream_write": 2.5, "resident_write": 4.0,
+}
+ANALYTIC_LANES = ("lat_mem", "stream", "prefetch")
+
+#: A result that passes every check of its scenario.
+PASSING = {
+    "trace": {
+        "reference_ns_per_access": 30.0, "batch_ns_per_access": 1.0,
+        "speedup": 30.0, "simulated_mean_latency_ns": 0.7,
+    },
+    "stream-fastpath": {
+        "lanes": {
+            name: {"scalar_ns_per_access": 10.0, "fast_ns_per_access": 1.0,
+                   "speedup": 10.0, "simulated_mean_latency_ns": 2.8}
+            for name in STREAM_FASTPATH_FLOORS
+        },
+    },
+    "analytic": {
+        "lanes": {
+            name: {"trace_s": 1.0, "oracle_s": 1e-5, "speedup": 1e5,
+                   "max_rel_err": 0.0, "within_tolerance": True,
+                   "counters_exact": True}
+            for name in ANALYTIC_LANES
+        },
+        "min_speedup": 1e5, "max_rel_err": 0.0, "all_within_tolerance": True,
+    },
+    "parallel": {
+        "serial_s": 4.0, "plan_serial_s": 1.0, "parallel_s": 1.0, "workers": 4,
+        "speedup": 4.0, "bit_identical": True,
+        "serial_l1_hit_fraction": 0.0, "sharded_l1_hit_fraction": 0.99,
+    },
+    "chaos": {
         "mixed_fault": {
-            "requests": 10, "availability": 1.0, "violations": violations,
+            "requests": 10, "availability": 1.0, "violations": 0,
             "p50_ms": 1.0, "p99_ms": 2.0, "malformed_sent": 0,
             "oversized_sent": 0, "disconnects_injected": 0, "dropped": 0,
-            "timeouts": 0,
+            "timeouts": 0, "server_chaos_counts": {"lane_error": 1},
         },
-        "quarantine": {
-            "payload_identical": payload_identical, "quarantined": 1,
-            "healed_source": "computed",
-        },
-        "overload": {"total_shed": 1, "busy": 1, "quota": 0, "ok": 1},
-        "drain": {"exit_code": exit_code, "drained_line_present": True},
-    }
+    },
+}
+
+
+def failing(name, path, value):
+    """``PASSING[name]`` with the field at ``path`` set to ``value``."""
+    result = copy.deepcopy(PASSING[name])
+    *parents, leaf = path
+    target = result
+    for key in parents:
+        target = target[key]
+    target[leaf] = value
+    return result
+
+
+#: One case per check: a result just past its threshold, and the name
+#: ``perf`` must print for it.
+FAILING_CASES = [
+    ("analytic-tolerance", "analytic", ("all_within_tolerance",), False,
+     "all_within_tolerance"),
+    ("parallel-bit-identical", "parallel", ("bit_identical",), False,
+     "bit_identical"),
+    ("chaos-violations", "chaos", ("mixed_fault", "violations"), 1,
+     "mixed_fault.violations == 0"),
+    ("trace-latency", "trace", ("simulated_mean_latency_ns",), 0.0,
+     "simulated_mean_latency_ns > 0"),
+    ("trace-speedup", "trace", ("speedup",), 9.99, "speedup >= 10"),
+    ("stream-fastpath-lanes", "stream-fastpath", ("lanes", "extra"),
+     PASSING["stream-fastpath"]["lanes"]["prefetch"],
+     "lanes == prefetch, stream_read, stream_write, resident_write"),
+    *(
+        (f"stream-fastpath-{lane}-latency", "stream-fastpath",
+         ("lanes", lane, "simulated_mean_latency_ns"), 0.0,
+         f"{lane}.simulated_mean_latency_ns > 0")
+        for lane in STREAM_FASTPATH_FLOORS
+    ),
+    *(
+        (f"stream-fastpath-{lane}-speedup", "stream-fastpath",
+         ("lanes", lane, "speedup"), floor - 0.01, f"{lane}.speedup >= {floor}")
+        for lane, floor in STREAM_FASTPATH_FLOORS.items()
+    ),
+    ("analytic-lanes", "analytic", ("lanes", "extra"),
+     PASSING["analytic"]["lanes"]["stream"], "lanes == lat_mem, stream, prefetch"),
+    *(
+        (f"analytic-{lane}-speedup", "analytic", ("lanes", lane, "speedup"),
+         999.99, f"{lane}.speedup >= 1000")
+        for lane in ANALYTIC_LANES
+    ),
+    *(
+        (f"analytic-{lane}-within-tolerance", "analytic",
+         ("lanes", lane, "within_tolerance"), False, f"{lane}.within_tolerance")
+        for lane in ANALYTIC_LANES
+    ),
+    ("analytic-counters-exact", "analytic",
+     ("lanes", "prefetch", "counters_exact"), False, "prefetch.counters_exact"),
+    ("analytic-stream-exact", "analytic", ("lanes", "stream", "max_rel_err"),
+     1e-9, "stream.max_rel_err < 1e-9"),
+    ("parallel-l1-hits", "parallel", ("sharded_l1_hit_fraction",), 0.0,
+     "sharded_l1_hit_fraction > serial_l1_hit_fraction"),
+    ("parallel-speedup", "parallel", ("speedup",), 1.99, "speedup >= 2.0"),
+    ("chaos-availability", "chaos", ("mixed_fault", "availability"), 0.9899,
+     "mixed_fault.availability >= 0.99"),
+    ("chaos-no-faults-fired", "chaos", ("mixed_fault", "server_chaos_counts"),
+     {}, "mixed_fault.server_chaos_counts non-empty"),
+]
 
 
 def test_the_six_scenarios_and_their_artifacts():
@@ -94,29 +184,43 @@ def test_write_bench_format(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, result",
-    [
-        ("analytic", {"lanes": {}, "min_speedup": 1.0, "max_rel_err": 0.5,
-                      "all_within_tolerance": False}),
-        ("parallel", {"serial_s": 1.0, "plan_serial_s": 1.0, "parallel_s": 1.0,
-                      "workers": 4, "speedup": 1.0, "bit_identical": False}),
-        ("chaos", chaos_result(violations=1)),
-        ("chaos", chaos_result(payload_identical=False)),
-        ("chaos", chaos_result(exit_code=1)),
-    ],
-    ids=["analytic-tolerance", "parallel-bit-identical", "chaos-violations",
-         "chaos-payload-identical", "chaos-drain-exit-code"],
+    "name, path, value, check",
+    [case[1:] for case in FAILING_CASES],
+    ids=[case[0] for case in FAILING_CASES],
 )
-def test_failed_pass_predicate_exits_1(monkeypatch, tmp_path, name, result):
-    stub(monkeypatch, name, result)
+def test_failed_pass_predicate_exits_1(
+    monkeypatch, tmp_path, capsys, name, path, value, check
+):
+    stub(monkeypatch, name, failing(name, path, value))
     out = str(tmp_path / "out.json")
     assert main(["perf", name, "--out", out]) == 1
+    failed = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("FAILED ")
+    ]
+    assert failed == [f"FAILED {name}: {check}"]
     # The artifact is written either way: a failing run is a record too.
     assert json.loads((tmp_path / "out.json").read_text())["host"]
 
 
+def test_a_missing_field_fails_its_check(monkeypatch, tmp_path, capsys):
+    result = copy.deepcopy(PASSING["parallel"])
+    del result["sharded_l1_hit_fraction"]
+    stub(monkeypatch, "parallel", result)
+    assert main(["perf", "parallel", "--out", str(tmp_path / "out.json")]) == 1
+    assert ("FAILED parallel: sharded_l1_hit_fraction > serial_l1_hit_fraction"
+            in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name", ["trace", "stream-fastpath", "analytic", "parallel"])
+def test_passing_results_exit_0(monkeypatch, tmp_path, capsys, name):
+    stub(monkeypatch, name, PASSING[name])
+    assert main(["perf", name, "--out", str(tmp_path / "out.json")]) == 0
+    assert "FAILED" not in capsys.readouterr().out
+
+
 def test_passing_chaos_exits_0(monkeypatch, tmp_path):
-    stub(monkeypatch, "chaos", chaos_result())
+    stub(monkeypatch, "chaos", PASSING["chaos"])
     assert main(["perf", "chaos", "--out", str(tmp_path / "out.json")]) == 0
 
 

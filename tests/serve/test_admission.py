@@ -22,6 +22,7 @@ from repro.serve import (
     encode_message,
 )
 from repro.serve.daemon import RETRY_AFTER_S, ResilienceConfig
+from repro.serve.loadgen import DaemonProcess
 
 #: Every trace here is slowed to 300 ms so a second request reliably
 #: arrives while the first still occupies its heavy slot.
@@ -167,6 +168,59 @@ def test_quota_is_per_connection_not_global():
         with ServeClient(st.host, st.port) as client:
             stats = client.stats()["stats"]
             assert stats["quota_shed"] == 0 and stats["shed"] == 0
+
+
+def wait_for_active_heavy(client, count, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while client.stats()["resilience"]["active"]["heavy"] < count:
+        assert time.monotonic() < deadline, "the first trace never started"
+        time.sleep(0.01)
+
+
+def test_cli_max_heavy_sheds_the_second_slowed_trace(tmp_path):
+    """``python -m repro.serve --max-heavy 1``: of two slowed traces on
+    two connections, the one arriving second is shed ``busy``."""
+    daemon = DaemonProcess(
+        str(tmp_path), lru_capacity=8,
+        extra_args=["--chaos", SLOW_TRACE, "--max-heavy", "1"],
+    )
+    results = []
+    try:
+        thread = start_background_run(daemon.host, daemon.port, trace_spec(1), results)
+        with ServeClient(daemon.host, daemon.port) as client:
+            wait_for_active_heavy(client, 1)
+            with pytest.raises(ServeError) as excinfo:
+                client.run(**trace_spec(2))
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+            stats = client.stats()["stats"]
+    finally:
+        daemon.stop()
+    assert excinfo.value.code == "busy"
+    assert results[0]["ok"] is True
+    assert stats["shed"] == 1 and stats["quota_shed"] == 0
+
+
+def test_cli_client_heavy_quota_sheds_the_second_pipelined_trace(tmp_path):
+    """``python -m repro.serve --client-heavy-quota 1``: one connection
+    pipelining two slowed traces gets ``quota`` for the second."""
+    daemon = DaemonProcess(
+        str(tmp_path), lru_capacity=8,
+        extra_args=["--chaos", SLOW_TRACE, "--client-heavy-quota", "1"],
+    )
+    try:
+        with socket.create_connection((daemon.host, daemon.port), timeout=30.0) as sock:
+            sock.sendall(b"".join(
+                encode_message({"op": "run", "id": i, **trace_spec(30 + i)})
+                for i in range(2)
+            ))
+            reader = sock.makefile("rb")
+            first = decode_message(reader.readline())
+            second = decode_message(reader.readline())
+    finally:
+        daemon.stop()
+    assert first["ok"] is True
+    assert second["ok"] is False and second["code"] == "quota"
 
 
 def test_resilience_config_validation():

@@ -230,6 +230,27 @@ def test_breaker_trips_serves_degraded_then_half_opens():
             assert stats["stats"]["degraded"] == 1
 
 
+def test_failing_analytic_requests_trip_no_breaker():
+    """The oracle is a pure in-process function: requests it rejects
+    fail on their own, so however many there are, the next valid
+    analytic miss from another connection is computed, not shed with
+    ``circuit_open``."""
+    with ServerThread(lru_capacity=8) as st:
+        with ServeClient(st.host, st.port) as bad:
+            for _ in range(ResilienceConfig().breaker_threshold):
+                with pytest.raises(ServeError) as excinfo:
+                    bad.run(kind="analytic", request={"kind": "chase", "working_set": 0})
+                assert excinfo.value.code == "lane"
+        with ServeClient(st.host, st.port) as good:
+            response = good.run(
+                kind="analytic", request={"kind": "chase", "working_set": 4 << 20}
+            )
+            assert response["source"] == "computed"
+            stats = good.stats()
+            assert stats["stats"]["circuit_rejects"] == 0
+            assert "analytic" not in stats["resilience"]["breakers"]
+
+
 def test_degraded_results_are_never_cached():
     chaos = build_chaos("lane_error:rate=1,lane=trace", seed=0)
     config = ResilienceConfig(breaker_threshold=1, breaker_cooldown_s=60.0)
